@@ -1,10 +1,10 @@
-"""Desk-scale collaborative training stack.
+"""Numerical core of collaborative training over slow peers.
 
-Building blocks for synchronous-equivalent distributed optimization over
-slow, unreliable, heterogeneous peers: blockwise 8-bit tensor compression,
-LAMB/Adam with compressible optimizer state, an adaptive-batch round
-protocol with robust aggregation, a deterministic network simulator,
-a transformer memory calculator, and compressed dataset shards.
+``codec``: blockwise 8-bit (Q8), binary16 and raw fp32 tensor encodings and
+their wire format. ``optim``: Adam and LAMB with a warmup/decay schedule,
+optimizer state kept in fp32 or 8 bits, and a resumable checkpoint.
+``tasks``: closed-form training tasks with analytic gradients that stand in
+for the model. ``errors``: the exception types.
 """
 
 __version__ = "0.1.0"

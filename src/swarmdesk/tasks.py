@@ -9,7 +9,8 @@ at the tensor boundary. Everything is a deterministic function of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -163,20 +164,25 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
 
 
 _FACTORIES = {
-    "quadratic": lambda seed, **kw: make_quadratic(kw.pop("dim", 20), seed, **kw),
-    "logreg": lambda seed, **kw: make_logreg(
-        kw.pop("n_samples", 4096), kw.pop("dim", 20), seed
-    ),
-    "tiny_mlp": lambda seed, **kw: make_tiny_mlp(seed, **kw),
+    "quadratic": lambda seed, dim=20, n_samples=1024: make_quadratic(dim, seed, n_samples),
+    "logreg": lambda seed, n_samples=4096, dim=20: make_logreg(n_samples, dim, seed),
+    "tiny_mlp": lambda seed, n_samples=128: make_tiny_mlp(seed, n_samples),
 }
 
 
 def make_task(name: str, seed: int, **kwargs) -> Task:
-    """Build a task by name, as referenced from scenario files."""
+    """Build a task by name; ``kwargs`` are that task's size parameters.
+
+    An unknown task name or keyword raises ``ConfigError``.
+    """
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise ConfigError(
             f"unknown task {name!r}; choose from {sorted(_FACTORIES)}"
         ) from None
+    try:
+        inspect.signature(factory).bind(seed, **kwargs)
+    except TypeError as e:
+        raise ConfigError(f"task {name!r}: {e}") from None
     return factory(seed, **kwargs)

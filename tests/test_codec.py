@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from swarmdesk import codec
 from swarmdesk.codec import CodecPolicy, Scheme, TensorBuf
 from swarmdesk.errors import MalformedChunk, NonFiniteInput, OverflowToInfinity
+
+import oracle
 
 
 def scalar_quantize_block(block, scale):
@@ -92,6 +95,17 @@ class TestQuantizeQ8:
                 block, float(scale)
             )
             offset += 8
+
+    def test_exact_ties_round_half_to_even(self):
+        # x = (j + 1/2) * scale is exact in fp32 and divides to an exact tie;
+        # multiplying by the rounded inverse of this scale misses 80 of them
+        scale = 49 * 2.0**-12
+        x = np.array([127 * scale] + [(j + 0.5) * scale for j in range(-127, 127)], np.float32)
+        c = codec.quantize_q8(TensorBuf(x), block_size=x.size)
+        assert c.scales[0] == np.float32(scale)
+        codes = np.frombuffer(c.payload, np.int8).tolist()
+        assert codes == scalar_quantize_block(x, scale)
+        assert codes[1:4] == [-126, -126, -124]
 
     def test_sign_preservation(self):
         rng = np.random.default_rng(11)
@@ -252,9 +266,76 @@ def test_q8_roundtrip_bound_property(values, block_size):
     deq = codec.dequantize_q8(c).data
     err = np.abs(x.astype(np.float64) - deq.astype(np.float64))
     bound = codec.roundtrip_error_bound(c)
-    assert np.all(err <= bound + 1e-12)
+    assert np.all(err <= bound)
     s = np.sign(deq)
     assert np.all((s == np.sign(x)) | (s == 0))
+
+
+class TestErrorBound:
+    def test_covers_decode_rounding(self):
+        # x / scale is just above 30.5, so x gets code 31, and decode's fp32
+        # rounding of 31 * scale lands farther from x than half a scale.
+        absmax, x = np.float32(2.6835622787475586), np.float32(0.6444775462150574)
+        c = codec.quantize_q8(TensorBuf.from_array([absmax, x]), block_size=2)
+        assert c.scales[0] == np.float32(0.021130410954356194)
+        assert np.frombuffer(c.payload, np.int8).tolist() == [127, 31]
+        err = abs(float(x) - float(codec.dequantize_q8(c).data[1]))
+        assert err > float(c.scales[0]) / 2
+        assert err <= codec.roundtrip_error_bound(c)[1]
+
+    @pytest.mark.parametrize(
+        "units", [[190, -3], [1], [127, 64]], ids=["clipped", "zero-scale", "exact"]
+    )
+    def test_covers_scale_underflow(self, units):
+        # values in units of the smallest fp32 subnormal, 2**-149: absmax / 127
+        # rounds to a zero or subnormal scale, and 190 units clip at code 127
+        x = np.array(units, np.float64) * 2.0**-149
+        c = codec.quantize_q8(TensorBuf(x.astype(np.float32)), block_size=len(units))
+        err = np.abs(x - codec.dequantize_q8(c).data)
+        assert np.all(err <= codec.roundtrip_error_bound(c))
+
+
+def _assert_same_q8(x: np.ndarray, block_size: int):
+    c = codec.quantize_q8(TensorBuf(x), block_size)
+    want = oracle.quantize_q8(TensorBuf(x), block_size)
+    assert c.payload == want.payload
+    assert c.scales.tobytes() == want.scales.tobytes()
+    back = codec.dequantize_q8(c).data
+    assert back.tobytes() == oracle.dequantize_q8(want).data.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=-(2.0**100), max_value=2.0**100, width=32, allow_nan=False),
+        max_size=300,
+    ),
+    st.integers(min_value=1, max_value=70),
+    st.sampled_from([1, 5, 64, codec._GROUP]),
+)
+def test_q8_bytes_match_whole_tensor_oracle(values, block_size, group):
+    """Grouped encode/decode equals the zero-padded whole-tensor version,
+    at group sizes (in elements) that cut the tensor into many groups."""
+    with mock.patch.object(codec, "_GROUP", group):
+        _assert_same_q8(np.array(values, np.float32), block_size)
+
+
+@pytest.mark.parametrize(
+    "n, block_size",
+    [
+        (2 * codec._GROUP + 3 * 4096 + 5, 4096),
+        (codec._GROUP + 3, 1),
+        (codec._GROUP + 100, 64),
+        (3 * 4096, 4096),
+        (97, 4096),
+        (0, 8),
+    ],
+)
+def test_q8_bytes_match_oracle_across_groups(n, block_size):
+    rng = np.random.default_rng(n)
+    x = (rng.standard_normal(n) * 10.0 ** rng.integers(-40, 30, n)).astype(np.float32)
+    x[::11] = 0.0
+    _assert_same_q8(x, block_size)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,13 +1,25 @@
 """Optimizers: schedule shape, Adam/LAMB steps vs scalar oracles, 8-bit state, tiers."""
 
 import math
+import os
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from swarmdesk import codec, optim
 from swarmdesk.codec import TensorBuf
-from swarmdesk.errors import NonFiniteGradient, ShapeMismatch, StepOutOfRange
+from swarmdesk.errors import (
+    ConfigError,
+    MalformedChunk,
+    NonFiniteGradient,
+    ShapeMismatch,
+    StepOutOfRange,
+)
 from swarmdesk.optim import (
     Algorithm,
     OptimConfig,
@@ -23,6 +35,8 @@ from swarmdesk.optim import (
     trust_ratio,
     unpack_state,
 )
+
+import oracle
 
 
 def scalar_adam(w, g_fn, steps, lr_fn, b1=0.9, b2=0.999, eps=1e-8):
@@ -334,3 +348,163 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + bytes(100))
         with pytest.raises(Exception):
             optim.load_checkpoint(path)
+
+
+def _same_state(a: OptimState, b: OptimState) -> bool:
+    if a.step != b.step or a.packed != b.packed:
+        return False
+    if a.packed:
+        return all(
+            x.block_size == y.block_size
+            and x.scales.tobytes() == y.scales.tobytes()
+            and x.payload == y.payload
+            for x, y in ((a.m, b.m), (a.v, b.v))
+        )
+    return a.m.data.tobytes() == b.m.data.tobytes() and a.v.data.tobytes() == b.v.data.tobytes()
+
+
+def _assert_steps_match_oracle(n, cfg, layers, steps, seed):
+    """``steps`` grouped steps are bit-identical to the whole-vector oracle."""
+    rng = np.random.default_rng(seed)
+    w = w_ref = TensorBuf(rng.standard_normal(n).astype(np.float32))
+    s = s_ref = init_state(n, cfg)
+    for _ in range(steps):
+        g = TensorBuf((rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2)).astype(np.float32))
+        if cfg.algorithm == Algorithm.LAMB:
+            w, s = lamb_step(w, g, s, cfg, 0.01, layers)
+            w_ref, s_ref = oracle.lamb_step(w_ref, g, s_ref, cfg, 0.01, layers)
+        else:
+            w, s = adam_step(w, g, s, cfg, 0.01)
+            w_ref, s_ref = oracle.adam_step(w_ref, g, s_ref, cfg, 0.01)
+        assert w.data.tobytes() == w_ref.data.tobytes()
+        assert _same_state(s, s_ref)
+
+
+CONFIGS = [
+    pytest.param(algo, bits, wd, id=f"{algo}{bits}-wd{wd}")
+    for algo in ("adam", "lamb")
+    for bits in (32, 8)
+    for wd in (0.0, 0.01)
+]
+
+
+class TestGroupedStep:
+    @pytest.mark.parametrize("algo, bits, wd", CONFIGS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=hs.integers(0, 300),
+        block_size=hs.sampled_from([1, 3, 8, 64, 4096]),
+        group=hs.sampled_from([1, 5, 64, optim._GROUP]),
+        cuts=hs.lists(hs.integers(0, 300), max_size=4),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_matches_whole_vector_oracle(self, algo, bits, wd, n, block_size, group, cuts, seed):
+        """Small group sizes (in elements) cut the vector into many groups;
+        random layer cuts straddle them."""
+        cfg = getattr(OptimConfig, algo)(state_bits=bits, block_size=block_size, weight_decay=wd)
+        edges = sorted({0, n, *(min(c, n) for c in cuts)})
+        layers = tuple((f"l{i}", a, b) for i, (a, b) in enumerate(zip(edges, edges[1:])))
+        with mock.patch.object(optim, "_GROUP", group):
+            _assert_steps_match_oracle(n, cfg, layers, steps=3, seed=seed)
+
+    @pytest.mark.parametrize("algo, bits, wd", CONFIGS)
+    def test_matches_oracle_across_real_groups(self, algo, bits, wd):
+        n = optim._GROUP + 4096 + 97
+        cfg = getattr(OptimConfig, algo)(state_bits=bits, weight_decay=wd)
+        layers = (("a", 0, 1000), ("b", 1000, optim._GROUP + 10), ("c", optim._GROUP + 10, n))
+        _assert_steps_match_oracle(n, cfg, layers, steps=2, seed=bits)
+
+    def test_8bit_lamb_peak_below_fp32(self):
+        n = 1 << 20
+        rng = np.random.default_rng(61)
+        w = TensorBuf(rng.standard_normal(n).astype(np.float32))
+        g = TensorBuf(rng.standard_normal(n).astype(np.float32))
+        peaks = {}
+        for bits in (32, 8):
+            cfg = OptimConfig.lamb(state_bits=bits)
+            _, st = lamb_step(w, g, init_state(n, cfg), cfg, 0.01)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                lamb_step(w, g, st, cfg, 0.01)
+                peaks[bits] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peaks[8] < peaks[32]
+        # r and the new weights (8 bytes per parameter), the new 8-bit state
+        # (2) and one group's temporaries
+        assert peaks[8] < 11 * n + 12 * optim._GROUP * 4
+
+    def test_packed_state_in_other_block_size_is_refused(self):
+        cfg = OptimConfig.lamb(state_bits=8, block_size=64)
+        st = init_state(300, OptimConfig.lamb(state_bits=8, block_size=32))
+        w = TensorBuf(np.ones(300, np.float32))
+        with pytest.raises(ConfigError):
+            lamb_step(w, w, st, cfg, 0.01)
+        with pytest.raises(ConfigError):
+            pack_state(st, 8, block_size=64)
+        assert pack_state(st, 8, block_size=32) is st
+
+
+class TestCheckpointFormat:
+    def _run(self, cfg, n=300, steps=2):
+        rng = np.random.default_rng(67)
+        w = TensorBuf(rng.standard_normal(n).astype(np.float32))
+        st = init_state(n, cfg)
+        g = TensorBuf(rng.standard_normal(n).astype(np.float32))
+        for _ in range(steps):
+            w, st = optim.optimizer_step(w, g, st, cfg, 0.01)
+        return w, st, g
+
+    def test_block_size_survives_and_resume_is_exact(self, tmp_path):
+        cfg = OptimConfig.lamb(state_bits=8, block_size=64)
+        w, st, g = self._run(cfg)
+        path = tmp_path / "run.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        cfg2, st2, w2 = optim.load_checkpoint(path)
+        assert cfg2 == cfg
+        for _ in range(2):
+            w, st = lamb_step(w, g, st, cfg, 0.01)
+            w2, st2 = lamb_step(w2, g, st2, cfg2, 0.01)
+        assert w.data.tobytes() == w2.data.tobytes()
+        assert _same_state(st, st2)
+
+    @pytest.mark.parametrize("bits, want_block", [(8, 64), (32, 4096)])
+    def test_reads_version_1(self, tmp_path, bits, want_block):
+        cfg = OptimConfig.lamb(state_bits=bits, block_size=64)
+        w, st, _ = self._run(cfg)
+        path = tmp_path / "v2.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        raw = path.read_bytes()
+        fields = optim._CKPT_HEADS[2].unpack_from(raw)
+        v1 = optim._CKPT_HEADS[1].pack(fields[0], 1, *fields[2:-1])
+        old = tmp_path / "v1.topt"
+        old.write_bytes(v1 + raw[optim._CKPT_HEADS[2].size :])
+        cfg1, st1, w1 = optim.load_checkpoint(old)
+        assert cfg1 == replace(cfg, block_size=want_block)
+        assert w1.data.tobytes() == w.data.tobytes()
+        assert st1.step == st.step
+
+    def test_bad_headers_raise_malformed(self, tmp_path):
+        cfg = OptimConfig.adam()
+        w, st, _ = self._run(cfg, n=8, steps=1)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        raw = path.read_bytes()
+        for bad in (raw[:30], raw[:4] + (9).to_bytes(2, "little") + raw[6:]):
+            path.write_bytes(bad)
+            with pytest.raises(MalformedChunk):
+                optim.load_checkpoint(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        cfg = OptimConfig.adam(state_bits=8)
+        w, st, _ = self._run(cfg)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        before = path.read_bytes()
+        w2, st2 = adam_step(w, w, st, cfg, 0.01)
+        with mock.patch.object(optim.os, "fsync", side_effect=OSError("disk full")):
+            with pytest.raises(OSError):
+                optim.save_checkpoint(path, cfg, st2, w2)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.topt"]
