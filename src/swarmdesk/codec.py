@@ -7,9 +7,13 @@ Two working schemes plus a raw passthrough:
   and one signed byte per element. Worst-case reconstruction error is half
   a scale per element plus fp32 and float64 rounding
   (``roundtrip_error_bound``). Blocks whose absmax is zero store scale 0
-  and decode to exact zeros. Blocks are independent, so encoding walks the
-  tensor in cache-sized groups of whole blocks: its transient memory is the
-  payload, its bytes copy and one group's work buffers, whatever the size.
+  and decode to exact zeros. A block whose 127 * scale would overflow fp32
+  is refused rather than decoded to Inf. Codes are specified with a float64
+  division; encoding divides in fp32 and divides again in float64 only the
+  rare elements whose fp32 quotient is exactly a half-integer, which gives
+  the same bytes. Blocks are independent, so encoding walks the tensor in
+  cache-sized groups of whole blocks: its transient memory is the payload,
+  its bytes copy and one group's two fp32 work buffers, whatever the size.
 * ``F16`` — IEEE binary16 with round-to-nearest-even. Values above the
   largest finite half-precision magnitude (65504) are rejected outright
   rather than saturated.
@@ -44,6 +48,9 @@ MAGIC = b"TQC1"
 HEADER_BYTES = 24  # magic(4) + scheme(1) + reserved(3) + n(8) + block(4) + count(4)
 F16_MAX = 65504.0
 _HEADER = struct.Struct("<4sB3xQII")
+# The largest Q8 scale whose 127 * scale is finite in fp32. Only an absmax
+# of the fp32 maximum itself gets a larger one.
+_SCALE_MAX = np.float32(2.6793884e36)
 
 
 class Scheme(enum.IntEnum):
@@ -113,8 +120,11 @@ class QuantizedChunk:
                 raise MalformedChunk(
                     f"Q8 payload must be {n} bytes, got {len(self.payload)}"
                 )
-            if self.scales.size and not (np.isfinite(self.scales).all() and (self.scales >= 0).all()):
-                raise MalformedChunk("scales must be finite and non-negative")
+            # a NaN scale fails both comparisons
+            if self.scales.size and not (
+                self.scales.min() >= 0 and self.scales.max() <= _SCALE_MAX
+            ):
+                raise MalformedChunk(f"scales must lie in [0, {_SCALE_MAX}]")
         elif self.scheme == Scheme.F16:
             if self.scales.size:
                 raise MalformedChunk("F16 chunk carries no scales")
@@ -162,44 +172,68 @@ def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
     return Scheme.Q8_BLOCKWISE if n >= policy.q8_threshold else Scheme.F16
 
 
-# Elements per group of whole blocks in quantize_q8. Its fp32 and float64 work
-# buffers (12 bytes per element, 768 KiB) then stay in a 2 MiB L2 cache; on
+# Elements per group of whole blocks in quantize_q8. Its two fp32 work
+# buffers (8 bytes per element, 512 KiB) then stay in a 2 MiB L2 cache; on
 # such a machine 2**15 to 2**16 encoded fastest.
 _GROUP = 1 << 16
+_SMALLEST_NORMAL = np.finfo(np.float32).tiny
 
 
-def _quantize_blocks(x, scales, codes, mag, quot) -> None:
+def _quantize_blocks(x, scales, codes, quot, rounded) -> None:
     """Quantize the rows of ``x`` (one block each) into ``scales`` and ``codes``.
 
-    ``mag`` (fp32) and ``quot`` (float64) are work buffers of at least x.size.
+    ``quot`` and ``rounded`` are fp32 work buffers of at least x.size.
     """
-    mag = mag[: x.size].reshape(x.shape)
-    np.abs(x, out=mag)
-    np.maximum.reduce(mag, axis=1, out=scales)
-    if not np.isfinite(scales).all():
-        raise NonFiniteInput("tensor contains NaN or Inf")
-    np.divide(scales, np.float32(127), out=scales)
-    # A zero scale means |x| <= 127 * 2**-150 in its block, which rounds to
-    # code 0 when divided by 1, so no block divides by zero.
-    divisor = scales.astype(np.float64)
-    divisor[divisor == 0.0] = 1.0
     quot = quot[: x.size].reshape(x.shape)
+    np.abs(x, out=quot)
+    np.maximum.reduce(quot, axis=1, out=scales)
+    np.divide(scales, np.float32(127), out=scales)
+    # NaN fails this comparison as well as Inf and too large a scale
+    if not scales.max() <= _SCALE_MAX:
+        if not np.isfinite(scales).all():
+            raise NonFiniteInput("tensor contains NaN or Inf")
+        raise OverflowToInfinity("127 * scale of a block exceeds the fp32 maximum")
+    divisor = scales
+    subnormal = scales.min() < _SMALLEST_NORMAL
+    if subnormal:
+        # A zero scale means |x| <= 127 * 2**-150 in its block, which rounds
+        # to code 0 when divided by 1, so no block divides by zero.
+        divisor = np.where(scales == 0, np.float32(1), scales)
     np.divide(x, divisor[:, None], out=quot)
-    np.minimum(quot, 127.0, out=quot)
-    np.maximum(quot, -127.0, out=quot)
-    np.rint(quot, out=codes, casting="unsafe")
+    if subnormal:
+        # only a subnormal scale lets |x / scale| pass 127 * (1 + 2**-23)
+        np.minimum(quot, 127, out=quot)
+        np.maximum(quot, -127, out=quot)
+    rounded = rounded[: x.size].reshape(x.shape)
+    np.rint(quot, out=rounded)
+    # Division rounds monotonically and fp32 holds every half-integer, so
+    # the fp32 and float64 quotients fall on the same side of each one, and
+    # round to the same code, unless the fp32 quotient is a half-integer.
+    # Only those elements are divided again, in float64 as specified.
+    np.subtract(quot, rounded, out=quot)
+    np.abs(quot, out=quot)
+    if quot.max() == 0.5:
+        rows, cols = np.nonzero(quot == 0.5)
+        rounded[rows, cols] = np.rint(
+            x[rows, cols].astype(np.float64) / divisor[rows].astype(np.float64)
+        )
+    np.copyto(codes, rounded, casting="unsafe")
 
 
 def quantize_q8(t: TensorBuf, block_size: int = 4096) -> QuantizedChunk:
     """Blockwise absmax quantization to signed bytes.
 
     Per block: scale = absmax/127 (fp32), code = round-half-to-even(x/scale)
-    clamped to [-127, 127]. The division runs in float64 against the stored
-    fp32 scale so codes are reproducible bit-for-bit everywhere.
+    clamped to [-127, 127], with x/scale divided in float64 against the
+    stored fp32 scale, so codes are reproducible bit-for-bit everywhere.
+    The division runs in fp32, which rounds to the same code except where
+    the fp32 quotient is exactly a half-integer; only those elements are
+    divided again in float64. A block whose 127 * scale overflows fp32
+    raises ``OverflowToInfinity``, since it would decode to Inf.
 
     The tensor is encoded in groups of whole blocks, about ``_GROUP``
     elements each, and the partial last block on its own. Besides the
-    payload and scales, it allocates 12 bytes of work buffer per element of
+    payload and scales, it allocates 8 bytes of work buffer per element of
     one group, so its transient memory is the payload, its bytes copy and
     a fixed amount.
     """
@@ -209,7 +243,7 @@ def quantize_q8(t: TensorBuf, block_size: int = 4096) -> QuantizedChunk:
     scales = np.empty(-(-n // block_size), np.float32)
     codes = np.empty(n, np.int8)
     group = max(1, _GROUP // block_size) * block_size
-    mag, quot = np.empty(min(n, group), np.float32), np.empty(min(n, group), np.float64)
+    quot, rounded = np.empty((2, min(n, group)), np.float32)
     full = n - n % block_size
     for start in range(0, full, group):
         stop = min(start + group, full)
@@ -217,12 +251,12 @@ def quantize_q8(t: TensorBuf, block_size: int = 4096) -> QuantizedChunk:
             x[start:stop].reshape(-1, block_size),
             scales[start // block_size : stop // block_size],
             codes[start:stop].reshape(-1, block_size),
-            mag,
             quot,
+            rounded,
         )
     if full < n:
         _quantize_blocks(
-            x[full:].reshape(1, -1), scales[-1:], codes[full:].reshape(1, -1), mag, quot
+            x[full:].reshape(1, -1), scales[-1:], codes[full:].reshape(1, -1), quot, rounded
         )
     return QuantizedChunk(
         Scheme.Q8_BLOCKWISE, n, block_size, scales, codes.tobytes()
@@ -232,22 +266,21 @@ def quantize_q8(t: TensorBuf, block_size: int = 4096) -> QuantizedChunk:
 def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
     """Decode a Q8 chunk: x_i = code_i * scale of its block, in fp32.
 
-    The full blocks are one broadcast multiply over a view of the payload,
-    which numpy streams through its own small cast buffer; the partial last
-    block is a second. The output is the only tensor-sized allocation.
+    The codes are cast to fp32, which holds every one exactly, and that
+    buffer is scaled in place: the full blocks by one broadcast multiply,
+    the partial last block by a second. The output is the only tensor-sized
+    allocation.
     """
     if c.scheme != Scheme.Q8_BLOCKWISE:
         raise MalformedChunk(f"dequantize_q8 got scheme {c.scheme!r}")
     c.validate()
     n, bs = c.num_elements, c.block_size
-    codes = np.frombuffer(c.payload, dtype=np.int8)
-    out = np.empty(n, np.float32)
+    out = np.frombuffer(c.payload, dtype=np.int8).astype(np.float32)
     full = n - n % bs
-    np.multiply(
-        codes[:full].reshape(-1, bs), c.scales[: full // bs, None], out=out[:full].reshape(-1, bs)
-    )
+    blocks = out[:full].reshape(-1, bs)
+    np.multiply(blocks, c.scales[: full // bs, None], out=blocks)
     if full < n:
-        np.multiply(codes[full:], c.scales[-1:], out=out[full:])
+        np.multiply(out[full:], c.scales[-1:], out=out[full:])
     return TensorBuf(out)
 
 

@@ -22,7 +22,8 @@ class MalformedChunk(SwarmError):
 
 
 class OverflowToInfinity(SwarmError):
-    """A value exceeds the largest finite half-precision magnitude."""
+    """A value would encode to Inf: beyond binary16's largest finite
+    magnitude, or in a Q8 block whose 127 * scale exceeds fp32's."""
 
 
 class ShapeMismatch(SwarmError):

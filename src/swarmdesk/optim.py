@@ -12,8 +12,8 @@ elements, rounded to blocks): decode the group's m and sqrt(v), update
 them, encode them again, and write the group's Adam update or LAMB
 direction. 8-bit state is therefore never decoded whole, and a step's
 transient memory is about 2x the parameter bytes for Adam and 2.5x for
-LAMB with 8-bit state (3x and 4x with fp32 state), plus one group's
-temporaries.
+LAMB with 8-bit state (3x and 4x with fp32 state), plus two group-sized
+fp32 work buffers that every group's moment math reuses.
 Packed state must use the config's ``block_size``.
 
 A parameter vector may carry a named-layer partition; LAMB computes its
@@ -219,10 +219,10 @@ def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
 
 
 # Elements per group of the optimizer step, rounded to whole state blocks.
-# A group's slices of w, g, m and v and its fp32 temporaries are about ten
-# arrays, 1.25 MiB at 2**15 and 2.5 MiB at 2**16; on a machine with a 2 MiB
-# L2 cache both ran the 8-bit LAMB step equally fast, and the larger one
-# makes half as many codec calls.
+# A group's slices of w, g and the target, its decoded m and sqrt(v) and the
+# two work buffers are seven fp32 arrays, 1.75 MiB at 2**16; on a machine
+# with a 2 MiB L2 cache 2**15 to 2**17 ran the 8-bit LAMB step equally fast,
+# and 2**16 makes half as many codec calls as 2**15.
 _GROUP = 1 << 16
 
 
@@ -294,6 +294,10 @@ def _update_groups(w, g, st, cfg, lr32, lamb: bool, target) -> OptimState:
     or slice fp32 state), update them in fp32, write the group's new state
     (encode it for 8-bit state) and its slice of ``target``: the Adam
     weights, or LAMB's r.
+
+    Every operation writes with ``out=`` into memory the step owns: two
+    group-sized work buffers, the m and sqrt(v) buffers a decode returned,
+    and the new fp32 state. ``w``, ``g`` and the old state are only read.
     """
     n, bs = w.size, cfg.block_size
     b1, b2 = np.float32(cfg.beta1), np.float32(cfg.beta2)
@@ -307,30 +311,44 @@ def _update_groups(w, g, st, cfg, lr32, lamb: bool, target) -> OptimState:
     else:
         new_m, new_v = np.empty(n, np.float32), np.empty(n, np.float32)
     group = max(1, _GROUP // bs) * bs
+    work1, work2 = np.empty((2, min(n, group)), np.float32)
     # an empty vector still runs one (empty) group, so its state is encoded
     for start in range(0, max(n, 1), group):
         stop = min(start + group, n)
         gg, ww = g[start:stop], w[start:stop]
+        t1, t2 = work1[: stop - start], work2[: stop - start]
         if st.packed:
             m_old = codec.dequantize_q8(_blocks_of(st.m, start, stop)).data
-            v_root = codec.dequantize_q8(_blocks_of(st.v, start, stop)).data
-            v_old = v_root * v_root
+            v_old = codec.dequantize_q8(_blocks_of(st.v, start, stop)).data
+            np.multiply(v_old, v_old, out=v_old)
         else:
             m_old, v_old = st.m.data[start:stop], st.v.data[start:stop]
-        # fp32 state is written straight into the new buffers
-        m_out = None if out8 else new_m[start:stop]
-        v_out = None if out8 else new_v[start:stop]
-        m = np.add(b1 * m_old, (one - b1) * gg, out=m_out)
-        v = np.add(b2 * v_old, (one - b2) * (gg * gg), out=v_out)
-        mhat = m / c1 if cfg.beta1 > 0 else m
-        vhat = v / c2 if cfg.beta2 > 0 else v
-        direction = mhat / (np.sqrt(vhat) + eps)
-        if lamb:
-            np.add(direction, wd * ww, out=target[start:stop])
+        if not out8:
+            m, v = new_m[start:stop], new_v[start:stop]
+        elif st.packed:
+            m, v = m_old, v_old
         else:
-            np.subtract(ww - lr32 * direction, lr32 * wd * ww, out=target[start:stop])
+            m, v = np.empty_like(m_old), np.empty_like(v_old)
+        # m = b1 * m_old + (1 - b1) * g
+        np.multiply(b1, m_old, out=m)
+        np.add(m, np.multiply(one - b1, gg, out=t1), out=m)
+        # v = b2 * v_old + (1 - b2) * (g * g)
+        np.multiply(gg, gg, out=t1)
+        np.multiply(one - b2, t1, out=t1)
+        np.add(np.multiply(b2, v_old, out=v), t1, out=v)
+        mhat = np.divide(m, c1, out=t1) if cfg.beta1 > 0 else m
+        vhat = np.divide(v, c2, out=t2) if cfg.beta2 > 0 else v
+        # direction = mhat / (sqrt(vhat) + eps), into t1
+        np.add(np.sqrt(vhat, out=t2), eps, out=t2)
+        direction = np.divide(mhat, t2, out=t1)
+        if lamb:
+            np.add(direction, np.multiply(wd, ww, out=t2), out=target[start:stop])
+        else:
+            # (w - lr * direction) - (lr * wd) * w
+            np.subtract(ww, np.multiply(lr32, direction, out=t1), out=t1)
+            np.subtract(t1, np.multiply(lr32 * wd, ww, out=t2), out=target[start:stop])
         if out8:
-            v_root = np.sqrt(np.maximum(v, np.float32(0.0)))
+            v_root = np.sqrt(np.maximum(v, np.float32(0.0), out=v), out=v)
             m_parts.append(codec.quantize_q8(TensorBuf(m), bs))
             v_parts.append(codec.quantize_q8(TensorBuf(v_root), bs))
     if out8:
@@ -457,6 +475,10 @@ def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
         raise MalformedChunk(f"checkpoint shorter than its header: {len(buf)} bytes")
     (_, _, algo, bits, step, tier, b1, b2, eps, wd, tmin, tmax, xfer, *block
      ) = head.unpack_from(buf)
+    try:
+        algo, tier = Algorithm(algo), Tier(tier)
+    except ValueError as e:
+        raise MalformedChunk(f"checkpoint header: {e}") from None
     off = head.size
     w_chunk, off = _read_chunk(buf, off)
     m_chunk, off = _read_chunk(buf, off)
@@ -473,15 +495,15 @@ def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
             f"{v_chunk.block_size}, header says {block_size}"
         )
     cfg = OptimConfig(
-        algorithm=Algorithm(algo), beta1=b1, beta2=b2, epsilon=eps,
+        algorithm=algo, beta1=b1, beta2=b2, epsilon=eps,
         weight_decay=wd, trust_clip=(tmin, tmax), state_bits=bits,
-        state_tier=Tier(tier), block_size=block_size,
+        state_tier=tier, block_size=block_size,
     )
     w = codec.decode_f32(w_chunk)
     if bits == 8:
-        st = OptimState(m=m_chunk, v=v_chunk, step=step, tier=Tier(tier),
+        st = OptimState(m=m_chunk, v=v_chunk, step=step, tier=tier,
                         transfer_bytes_accumulated=xfer)
     else:
         st = OptimState(m=codec.decode_f32(m_chunk), v=codec.decode_f32(v_chunk),
-                        step=step, tier=Tier(tier), transfer_bytes_accumulated=xfer)
+                        step=step, tier=tier, transfer_bytes_accumulated=xfer)
     return cfg, st, w

@@ -107,6 +107,15 @@ class TestQuantizeQ8:
         assert codes == scalar_quantize_block(x, scale)
         assert codes[1:4] == [-126, -126, -124]
 
+    def test_fp32_tie_is_divided_again_in_float64(self):
+        # 81.905716 / 0.8069529 is 101.4999966 in float64 but rounds to
+        # exactly 101.5 in fp32, whose round-half-to-even would give 102
+        x = np.array([102.48302, 81.905716], np.float32)
+        c = codec.quantize_q8(TensorBuf(x), block_size=2)
+        assert c.scales[0] == np.float32(0.8069529)
+        assert x[1] / c.scales[0] == np.float32(101.5)
+        assert np.frombuffer(c.payload, np.int8).tolist() == [127, 101]
+
     def test_sign_preservation(self):
         rng = np.random.default_rng(11)
         x = (rng.standard_normal(5000) * 3).astype(np.float32)
@@ -119,6 +128,25 @@ class TestQuantizeQ8:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(NonFiniteInput):
                 codec.quantize_q8(TensorBuf.from_array([1.0, bad]), 4)
+
+    @pytest.mark.parametrize("top", [3.4028235e38, -3.4028235e38])
+    def test_rejects_overflow_of_127_scales(self, top):
+        # 127 * (absmax / 127) rounds past the fp32 maximum: it would decode to Inf
+        with pytest.raises(OverflowToInfinity):
+            codec.quantize_q8(TensorBuf.from_array([top, -1.0]), 4)
+
+    def test_largest_finite_decode_round_trips(self):
+        x = np.array([3.4028233e38, -1.0], np.float32)
+        c = codec.quantize_q8(TensorBuf(x), 4)
+        back = codec.dequantize_q8(c).data
+        assert np.isfinite(back).all()
+        assert np.all(np.abs(x.astype(np.float64) - back) <= codec.roundtrip_error_bound(c))
+
+    def test_scale_max_is_the_overflow_boundary(self):
+        with np.errstate(over="ignore"):
+            assert np.isfinite(np.float32(127) * codec._SCALE_MAX)
+            above = np.nextafter(codec._SCALE_MAX, np.float32(np.inf))
+            assert np.isinf(np.float32(127) * above)
 
     def test_partial_final_block(self):
         x = np.arange(10, dtype=np.float32)
@@ -148,6 +176,15 @@ class TestDequantizeQ8:
     def test_malformed_scale_count(self):
         c = codec.QuantizedChunk(
             Scheme.Q8_BLOCKWISE, 8, 4, np.array([1.0], np.float32), bytes(8)
+        )
+        with pytest.raises(MalformedChunk):
+            codec.dequantize_q8(c)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0, 2.6793887e36])
+    def test_scale_out_of_range_is_malformed(self, scale):
+        # 2.6793887e36 is the least scale whose code 127 decodes to Inf
+        c = codec.QuantizedChunk(
+            Scheme.Q8_BLOCKWISE, 2, 4, np.array([scale], np.float32), b"\x7f\x01"
         )
         with pytest.raises(MalformedChunk):
             codec.dequantize_q8(c)
@@ -336,6 +373,26 @@ def test_q8_bytes_match_oracle_across_groups(n, block_size):
     x = (rng.standard_normal(n) * 10.0 ** rng.integers(-40, 30, n)).astype(np.float32)
     x[::11] = 0.0
     _assert_same_q8(x, block_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2**23, max_value=2**24 - 1),
+    st.integers(min_value=-100, max_value=80),
+    st.lists(
+        st.tuples(st.integers(min_value=-127, max_value=126), st.integers(min_value=-3, max_value=3)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+def test_q8_near_ties_match_oracle(mantissa, exponent, near):
+    """Blocks of x = (k + 1/2) * s * (1 + j * 2**-24), s the block's scale:
+    the fp32 quotient x / s of many of them is exactly k + 1/2 while the
+    float64 one is not."""
+    top = np.float32(127 * mantissa * 2.0**exponent)
+    s = float(top / np.float32(127))
+    x = np.array([top] + [(k + 0.5) * s * (1 + j * 2.0**-24) for k, j in near], np.float32)
+    _assert_same_q8(x, x.size)
 
 
 @settings(max_examples=100, deadline=None)

@@ -414,6 +414,40 @@ class TestGroupedStep:
         layers = (("a", 0, 1000), ("b", 1000, optim._GROUP + 10), ("c", optim._GROUP + 10, n))
         _assert_steps_match_oracle(n, cfg, layers, steps=2, seed=bits)
 
+    @pytest.mark.parametrize("n", [300, optim._GROUP + 4096 + 97])
+    @pytest.mark.parametrize("state_bits", [32, 8], ids=["state32", "state8"])
+    @pytest.mark.parametrize("bits", [32, 8])
+    @pytest.mark.parametrize("algo", ["adam", "lamb"])
+    def test_step_leaves_its_inputs_alone(self, algo, bits, state_bits, n):
+        """The step writes only into memory it owns, also when the state
+        comes in the other encoding than the config's."""
+        rng = np.random.default_rng(n + bits)
+        cfg = getattr(OptimConfig, algo)(state_bits=bits, weight_decay=0.01)
+        w = TensorBuf(rng.standard_normal(n).astype(np.float32))
+        g = TensorBuf(rng.standard_normal(n).astype(np.float32))
+        st = OptimState(
+            m=TensorBuf(rng.standard_normal(n).astype(np.float32)),
+            v=TensorBuf((rng.standard_normal(n) ** 2).astype(np.float32)),
+            step=3,
+        )
+        st = pack_state(st, state_bits, cfg.block_size)
+
+        def snapshot():
+            parts = [w.data.tobytes(), g.data.tobytes()]
+            for buf in (st.m, st.v):
+                if st.packed:
+                    parts += [buf.scales.tobytes(), buf.payload]
+                else:
+                    parts.append(buf.data.tobytes())
+            return parts
+
+        before = snapshot()
+        got_w, got_st = optim.optimizer_step(w, g, st, cfg, 0.01)
+        assert snapshot() == before
+        want_w, want_st = getattr(oracle, f"{algo}_step")(w, g, st, cfg, 0.01)
+        assert got_w.data.tobytes() == want_w.data.tobytes()
+        assert _same_state(got_st, want_st)
+
     def test_8bit_lamb_peak_below_fp32(self):
         n = 1 << 20
         rng = np.random.default_rng(61)
@@ -495,6 +529,18 @@ class TestCheckpointFormat:
             path.write_bytes(bad)
             with pytest.raises(MalformedChunk):
                 optim.load_checkpoint(path)
+
+    @pytest.mark.parametrize("offset", [6, 16], ids=["algorithm", "tier"])
+    def test_enum_byte_out_of_range_is_malformed(self, tmp_path, offset):
+        cfg = OptimConfig.adam()
+        w, st, _ = self._run(cfg, n=8, steps=1)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(MalformedChunk):
+            optim.load_checkpoint(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         cfg = OptimConfig.adam(state_bits=8)

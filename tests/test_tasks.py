@@ -1,5 +1,7 @@
-"""Task construction by name: keyword arguments are checked."""
+"""Tasks: keyword arguments are checked, gradients match finite differences,
+and a seed fixes the task."""
 
+import numpy as np
 import pytest
 
 from swarmdesk import tasks
@@ -29,3 +31,35 @@ def test_known_kwargs_size_the_task(name, kwargs, dim, n_samples):
 def test_unknown_task_is_config_error():
     with pytest.raises(ConfigError):
         tasks.make_task("transformer", 0)
+
+
+TASKS = [("quadratic", {"dim": 5, "n_samples": 10}), ("logreg", {"n_samples": 10, "dim": 3}),
+         ("tiny_mlp", {"n_samples": 10})]
+
+
+@pytest.mark.parametrize("name, kwargs", TASKS)
+def test_grad_matches_central_differences(name, kwargs):
+    """batch_grad_sum / batch size is the gradient of batch_loss, the mean loss."""
+    task = tasks.make_task(name, 3, **kwargs)
+    rng = np.random.default_rng(4)
+    params = task.init_params + rng.standard_normal(task.param_dim)
+    idx = np.array([0, 2, 3, 7, 7])
+    h = 1e-6
+    fd = np.empty(task.param_dim)
+    for i in range(task.param_dim):
+        e = np.zeros(task.param_dim)
+        e[i] = h
+        fd[i] = (task.batch_loss(params + e, idx) - task.batch_loss(params - e, idx)) / (2 * h)
+    np.testing.assert_allclose(task.batch_grad_sum(params, idx) / len(idx), fd, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("name, kwargs", TASKS)
+def test_same_seed_same_task(name, kwargs):
+    a, b, other = (tasks.make_task(name, seed, **kwargs) for seed in (5, 5, 6))
+    params = np.linspace(-1.0, 1.0, a.param_dim)
+    idx = np.arange(a.n_samples)
+    assert a.init_params.tobytes() == b.init_params.tobytes()
+    assert a.batch_grad_sum(params, idx).tobytes() == b.batch_grad_sum(params, idx).tobytes()
+    assert a.batch_loss(params, idx) == b.batch_loss(params, idx)
+    assert a.layers == b.layers
+    assert a.batch_grad_sum(params, idx).tobytes() != other.batch_grad_sum(params, idx).tobytes()
