@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedChunk, NonFiniteInput, OverflowToInfinity
+from .errors import ConfigError, MalformedChunk, NonFiniteInput, OverflowToInfinity
 
 MAGIC = b"TQC1"
 HEADER_BYTES = 24  # magic(4) + scheme(1) + reserved(3) + n(8) + block(4) + count(4)
@@ -57,6 +57,10 @@ class Scheme(enum.IntEnum):
     F32_RAW = 0
     Q8_BLOCKWISE = 1
     F16 = 2
+
+
+# Payload element type of each float scheme.
+_FLOAT_DTYPES = {Scheme.F16: np.dtype("<f2"), Scheme.F32_RAW: np.dtype("<f4")}
 
 
 @dataclass(frozen=True)
@@ -125,19 +129,12 @@ class QuantizedChunk:
                 self.scales.min() >= 0 and self.scales.max() <= _SCALE_MAX
             ):
                 raise MalformedChunk(f"scales must lie in [0, {_SCALE_MAX}]")
-        elif self.scheme == Scheme.F16:
-            if self.scales.size:
-                raise MalformedChunk("F16 chunk carries no scales")
-            if len(self.payload) != 2 * n:
+        elif self.scheme in _FLOAT_DTYPES:
+            size = _FLOAT_DTYPES[self.scheme].itemsize * n
+            if self.scales.size or len(self.payload) != size:
                 raise MalformedChunk(
-                    f"F16 payload must be {2 * n} bytes, got {len(self.payload)}"
-                )
-        elif self.scheme == Scheme.F32_RAW:
-            if self.scales.size:
-                raise MalformedChunk("F32 chunk carries no scales")
-            if len(self.payload) != 4 * n:
-                raise MalformedChunk(
-                    f"F32 payload must be {4 * n} bytes, got {len(self.payload)}"
+                    f"{Scheme(self.scheme).name} chunk needs no scales and {size} payload "
+                    f"bytes, got {self.scales.size} and {len(self.payload)}"
                 )
         else:
             raise MalformedChunk(f"unknown scheme {self.scheme!r}")
@@ -157,10 +154,11 @@ class CodecPolicy:
     lossless: bool = False
 
     def __post_init__(self):
-        if self.q8_threshold < 1:
-            raise MalformedChunk("q8_threshold must be >= 1")
-        if self.block_size < 1:
-            raise MalformedChunk("block_size must be >= 1")
+        # each check is written so that NaN fails it
+        if not self.q8_threshold >= 1:
+            raise ConfigError("q8_threshold must be >= 1")
+        if not self.block_size >= 1:
+            raise ConfigError("block_size must be >= 1")
 
 
 def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
@@ -284,38 +282,41 @@ def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
     return TensorBuf(out)
 
 
-def encode_f16(t: TensorBuf) -> QuantizedChunk:
-    """Encode as IEEE binary16 (round-to-nearest-even); rejects |x| > 65504."""
+def _encode_float(t: TensorBuf, scheme: Scheme) -> QuantizedChunk:
+    """Encode as the float scheme's payload type; NaN/Inf are rejected."""
     t.require_finite()
-    if t.data.size and np.abs(t.data).max() > F16_MAX:
-        raise OverflowToInfinity(f"|x| exceeds binary16 max finite {F16_MAX}")
-    payload = t.data.astype("<f2").tobytes()
+    payload = t.data.astype(_FLOAT_DTYPES[scheme]).tobytes()
     return QuantizedChunk(
-        Scheme.F16, t.num_elements, 0, np.zeros(0, np.float32), payload
+        scheme, t.num_elements, 0, np.zeros(0, np.float32), payload
     ).validate()
 
 
-def decode_f16(c: QuantizedChunk) -> TensorBuf:
-    if c.scheme != Scheme.F16:
-        raise MalformedChunk(f"decode_f16 got scheme {c.scheme!r}")
+def _decode_float(c: QuantizedChunk, scheme: Scheme) -> TensorBuf:
+    if c.scheme != scheme:
+        raise MalformedChunk(f"expected a {scheme.name} chunk, got scheme {c.scheme!r}")
     c.validate()
-    return TensorBuf(np.frombuffer(c.payload, dtype="<f2").astype(np.float32))
+    return TensorBuf(np.frombuffer(c.payload, dtype=_FLOAT_DTYPES[scheme]).astype(np.float32))
+
+
+def encode_f16(t: TensorBuf) -> QuantizedChunk:
+    """Encode as IEEE binary16 (round-to-nearest-even); rejects |x| > 65504."""
+    # NaN and Inf fail this test and are left to the finiteness check
+    if t.data.size and F16_MAX < np.abs(t.data).max() < np.inf:
+        raise OverflowToInfinity(f"|x| exceeds binary16 max finite {F16_MAX}")
+    return _encode_float(t, Scheme.F16)
+
+
+def decode_f16(c: QuantizedChunk) -> TensorBuf:
+    return _decode_float(c, Scheme.F16)
 
 
 def encode_f32(t: TensorBuf) -> QuantizedChunk:
     """Lossless passthrough; NaN/Inf are still rejected at the boundary."""
-    t.require_finite()
-    return QuantizedChunk(
-        Scheme.F32_RAW, t.num_elements, 0, np.zeros(0, np.float32),
-        t.data.astype("<f4").tobytes(),
-    ).validate()
+    return _encode_float(t, Scheme.F32_RAW)
 
 
 def decode_f32(c: QuantizedChunk) -> TensorBuf:
-    if c.scheme != Scheme.F32_RAW:
-        raise MalformedChunk(f"decode_f32 got scheme {c.scheme!r}")
-    c.validate()
-    return TensorBuf(np.frombuffer(c.payload, dtype="<f4").astype(np.float32))
+    return _decode_float(c, Scheme.F32_RAW)
 
 
 def encode(t: TensorBuf, policy: CodecPolicy = CodecPolicy()) -> QuantizedChunk:
@@ -344,10 +345,8 @@ def encoded_size(scheme: Scheme, n: int, block_size: int = 4096) -> int:
         raise MalformedChunk("element count must be >= 0")
     if scheme == Scheme.Q8_BLOCKWISE:
         return HEADER_BYTES + n + 4 * (-(-n // block_size))
-    if scheme == Scheme.F16:
-        return HEADER_BYTES + 2 * n
-    if scheme == Scheme.F32_RAW:
-        return HEADER_BYTES + 4 * n
+    if scheme in _FLOAT_DTYPES:
+        return HEADER_BYTES + _FLOAT_DTYPES[scheme].itemsize * n
     raise MalformedChunk(f"unknown scheme {scheme!r}")
 
 

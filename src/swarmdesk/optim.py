@@ -1,4 +1,4 @@
-"""Adam and LAMB with linear warmup/decay, 8-bit state, and tiered storage.
+"""Adam and LAMB with linear warmup/decay and 8-bit state.
 
 All moment math runs in 32-bit: when the state is stored 8-bit it is
 decoded, updated, and encoded again each step, so the drift per step is
@@ -7,30 +7,38 @@ its square root (a signed symmetric codebook wastes half its range on a
 non-negative quantity otherwise) and squared again on decode, which also
 keeps it non-negative by construction.
 
-A step runs over the vector in groups of whole state blocks (``_GROUP``
-elements, rounded to blocks): decode the group's m and sqrt(v), update
-them, encode them again, and write the group's Adam update or LAMB
-direction. 8-bit state is therefore never decoded whole, and a step's
-transient memory is about 2x the parameter bytes for Adam and 2.5x for
-LAMB with 8-bit state (3x and 4x with fp32 state), plus two group-sized
-fp32 work buffers that every group's moment math reuses.
-Packed state must use the config's ``block_size``.
+Adam and LAMB share one update formula. A step computes the direction
+r = mhat / (sqrt(vhat) + eps) + wd * w and then writes the new weights
+w - (lr * ratio) * r over r in place, layer by layer. LAMB's ratio is each
+layer's clamped trust ratio ||w|| / ||r||; Adam is one layer with ratio 1.
+A named-layer partition must tile the parameter vector in order; with none,
+the whole vector is one layer.
 
-A parameter vector may carry a named-layer partition; LAMB computes its
-trust ratio per layer. With no partition the whole vector is one layer.
+The moment math runs over the vector in groups of whole state blocks
+(``_GROUP`` elements, rounded to blocks): decode the group's m and sqrt(v),
+update them, encode them again, and write the group's slice of r. 8-bit
+state is therefore never decoded whole. Beyond one group's temporaries,
+including two fp32 work buffers that every group reuses, a step's transient
+memory is r, which becomes the new weights, and the new state: at most 2x
+the parameter bytes with 8-bit state (while the groups' chunks are joined)
+and 3x with fp32 state. Packed state must use the config's ``block_size``.
 
-Checkpoint file: magic "TOPT", a fixed config block (version 2 adds the
-state's block_size), then the weight, m and v buffers as codec chunks, each
-length-prefixed (u32, little-endian). It is written to a temporary file and
-renamed into place.
+Checkpoint file (version 3): magic "TOPT", a fixed config block (version,
+algorithm, state bits, step, betas, epsilon, weight decay, trust clip,
+block_size), the weight, m and v buffers as codec chunks, each
+length-prefixed (u32, little-endian), and a CRC-32 (u32) of every byte
+before it. It is written to a temporary file and renamed into place.
+Versions 1 and 2 are still read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +46,7 @@ import numpy as np
 from . import codec
 from .codec import QuantizedChunk, TensorBuf
 from .errors import (
+    ChecksumMismatch,
     ConfigError,
     MalformedChunk,
     NonFiniteGradient,
@@ -51,11 +60,6 @@ class Algorithm(enum.IntEnum):
     LAMB = 1
 
 
-class Tier(enum.IntEnum):
-    COMPUTE = 0
-    OFFLOADED = 1
-
-
 @dataclass(frozen=True)
 class ScheduleConfig:
     """Linear warmup to peak_lr, then linear decay to end_lr."""
@@ -66,12 +70,15 @@ class ScheduleConfig:
     end_lr: float = 0.0
 
     def __post_init__(self):
-        if self.total_steps < 1:
+        # each check is written so that NaN fails it
+        if not self.total_steps >= 1:
             raise ConfigError("total_steps must be >= 1")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ConfigError("warmup_fraction must be in [0, 1]")
-        if self.peak_lr <= 0:
-            raise ConfigError("peak_lr must be > 0")
+        if not 0.0 < self.peak_lr < math.inf:
+            raise ConfigError("peak_lr must be finite and > 0")
+        if not 0.0 <= self.end_lr < math.inf:
+            raise ConfigError("end_lr must be finite and >= 0")
 
     @property
     def warmup_steps(self) -> int:
@@ -100,18 +107,26 @@ class OptimConfig:
     weight_decay: float = 0.0
     trust_clip: tuple[float, float] = (0.0, 10.0)
     state_bits: int = 32
-    state_tier: Tier = Tier.COMPUTE
     block_size: int = 4096
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
+        except ValueError:
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}") from None
+        # each check is written so that NaN fails it
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must be in [0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be > 0")
-        if self.trust_clip[0] > self.trust_clip[1]:
+        if not 0.0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and > 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and >= 0")
+        if not self.trust_clip[0] <= self.trust_clip[1]:
             raise ConfigError("trust_clip min must be <= max")
         if self.state_bits not in (32, 8):
             raise ConfigError("state_bits must be 32 or 8")
+        if not self.block_size >= 1:
+            raise ConfigError("block_size must be >= 1")
 
     @classmethod
     def adam(cls, **kw) -> "OptimConfig":
@@ -125,13 +140,11 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class OptimState:
-    """Moment buffers (fp32 or packed Q8 chunks), step counter, storage tier."""
+    """Moment buffers (fp32 or packed Q8 chunks) and step counter."""
 
     m: TensorBuf | QuantizedChunk
     v: TensorBuf | QuantizedChunk
     step: int = 0
-    tier: Tier = Tier.COMPUTE
-    transfer_bytes_accumulated: int = 0
 
     @property
     def packed(self) -> bool:
@@ -144,7 +157,7 @@ class OptimState:
 
 def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     zeros = TensorBuf(np.zeros(num_params, np.float32))
-    st = OptimState(m=zeros, v=zeros, step=0, tier=cfg.state_tier)
+    st = OptimState(m=zeros, v=zeros, step=0)
     return pack_state(st, cfg.state_bits, cfg.block_size)
 
 
@@ -193,18 +206,6 @@ def state_nbytes(st: OptimState) -> int:
     return one(st.m) + one(st.v)
 
 
-def tier_transfer(st: OptimState, target: Tier) -> OptimState:
-    """Move state between storage tiers; values unchanged, bytes accounted."""
-    return replace(
-        st,
-        tier=target,
-        transfer_bytes_accumulated=st.transfer_bytes_accumulated + state_nbytes(st),
-    )
-
-
-DEFAULT_LAYERS = None  # whole vector as a single layer
-
-
 def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
     if w.num_elements != g.num_elements:
         raise ShapeMismatch(
@@ -249,51 +250,53 @@ def _joined(parts: list[QuantizedChunk], n: int, block_size: int) -> QuantizedCh
     )
 
 
-def _grouped_step(w, g, st, cfg, lr, lamb: bool, layers):
-    """Adam or LAMB, one group of whole state blocks at a time.
+def _grouped_step(w, g, st, cfg, lr, layers, clip):
+    """LAMB, or Adam when ``clip`` is None, one group of whole state blocks
+    at a time.
 
     ``_update_groups`` runs the moment recurrence group by group and writes
-    the Adam weights, or LAMB's direction r, into one full buffer. LAMB then
-    takes each layer's trust ratio from norms of the full w and r slices and
-    applies it. Every value comes from the same fp32 operations in the same
-    order as on whole vectors, so the result does not depend on the group
-    size.
+    the direction r = mhat / (sqrt(vhat) + eps) + wd * w into one full
+    buffer. The new weights w - (lr * ratio) * r are then written over r in
+    place, layer by layer. LAMB takes each layer's ratio from the norms of
+    its w and r slices; Adam is one layer with ratio 1. Every value comes
+    from the same fp32 operations in the same order as on whole vectors, so
+    the result does not depend on the group size.
 
     Transient memory beyond a group's temporaries, per element: 4 bytes for
-    that buffer, 4 more for LAMB's new weights, and the new state (fp32: 8
-    bytes; 8-bit: 4 bytes while the groups' chunks are joined, then 2).
+    r, which becomes the new weights, and the new state (fp32: 8 bytes;
+    8-bit: 4 bytes while the groups' chunks are joined, then 2).
     """
     _check_inputs(w, g, st)
     _require_block_size(st, cfg.block_size)
-    lr32 = np.float32(lr)
-    target = np.empty(w.num_elements, np.float32)
-    # the groups' 8-bit chunks are freed when _update_groups returns, before
-    # LAMB allocates its new weights
-    new = _update_groups(w.data, g.data, st, cfg, lr32, lamb, target)
-    if not lamb:
-        return TensorBuf(target, w.shape), new
-    r, new_w = target, w.data.copy()
-    if layers is None:
-        layers = (("all", 0, w.num_elements),)
-    for _name, start, stop in layers:
+    n, lr32 = w.num_elements, np.float32(lr)
+    r = np.empty(n, np.float32)
+    new = _update_groups(w.data, g.data, st, cfg, r)
+    end = 0
+    for _name, start, stop in layers or (("all", 0, n),):
+        # A layer's slice of r is overwritten with its new weights, so a
+        # later layer must not read it again: the layers tile [0, n) in order.
+        if not end == start <= stop <= n:
+            raise ShapeMismatch(
+                f"layer [{start}, {stop}) does not continue the partition at {end} of {n}"
+            )
         wl, rl = w.data[start:stop], r[start:stop]
-        ratio = trust_ratio(
-            float(np.linalg.norm(wl)), float(np.linalg.norm(rl)), cfg.trust_clip
+        ratio = 1.0 if clip is None else trust_ratio(
+            float(np.linalg.norm(wl)), float(np.linalg.norm(rl)), clip
         )
-        # new_w = wl - (lr * ratio) * rl, written in place: a layer may be the
-        # whole vector
-        delta = np.multiply(lr32 * np.float32(ratio), rl, out=new_w[start:stop])
-        np.subtract(wl, delta, out=delta)
-    return TensorBuf(new_w, w.shape), new
+        np.multiply(lr32 * np.float32(ratio), rl, out=rl)
+        np.subtract(wl, rl, out=rl)
+        end = stop
+    if end != n:
+        raise ShapeMismatch(f"layers cover [0, {end}) of {n} parameters")
+    return TensorBuf(r, w.shape), new
 
 
-def _update_groups(w, g, st, cfg, lr32, lamb: bool, target) -> OptimState:
+def _update_groups(w, g, st, cfg, r) -> OptimState:
     """Run the moment recurrence group by group; return the new state.
 
     Per group: read m and sqrt(v) (decode the group's blocks of 8-bit state,
     or slice fp32 state), update them in fp32, write the group's new state
-    (encode it for 8-bit state) and its slice of ``target``: the Adam
-    weights, or LAMB's r.
+    (encode it for 8-bit state) and its slice of the direction ``r``.
 
     Every operation writes with ``out=`` into memory the step owns: two
     group-sized work buffers, the m and sqrt(v) buffers a decode returned,
@@ -338,15 +341,10 @@ def _update_groups(w, g, st, cfg, lr32, lamb: bool, target) -> OptimState:
         np.add(np.multiply(b2, v_old, out=v), t1, out=v)
         mhat = np.divide(m, c1, out=t1) if cfg.beta1 > 0 else m
         vhat = np.divide(v, c2, out=t2) if cfg.beta2 > 0 else v
-        # direction = mhat / (sqrt(vhat) + eps), into t1
+        # r = mhat / (sqrt(vhat) + eps) + wd * w
         np.add(np.sqrt(vhat, out=t2), eps, out=t2)
         direction = np.divide(mhat, t2, out=t1)
-        if lamb:
-            np.add(direction, np.multiply(wd, ww, out=t2), out=target[start:stop])
-        else:
-            # (w - lr * direction) - (lr * wd) * w
-            np.subtract(ww, np.multiply(lr32, direction, out=t1), out=t1)
-            np.subtract(t1, np.multiply(lr32 * wd, ww, out=t2), out=target[start:stop])
+        np.add(direction, np.multiply(wd, ww, out=t2), out=r[start:stop])
         if out8:
             v_root = np.sqrt(np.maximum(v, np.float32(0.0), out=v), out=v)
             m_parts.append(codec.quantize_q8(TensorBuf(m), bs))
@@ -359,8 +357,8 @@ def _update_groups(w, g, st, cfg, lr32, lamb: bool, target) -> OptimState:
 def adam_step(
     w: TensorBuf, g: TensorBuf, st: OptimState, cfg: OptimConfig, lr: float
 ) -> tuple[TensorBuf, OptimState]:
-    """One Adam step with decoupled weight decay."""
-    return _grouped_step(w, g, st, cfg, lr, False, None)
+    """One Adam step with decoupled weight decay: LAMB with the ratio fixed at 1."""
+    return _grouped_step(w, g, st, cfg, lr, None, None)
 
 
 def trust_ratio(w_norm: float, r_norm: float, clip: tuple[float, float]) -> float:
@@ -376,14 +374,16 @@ def lamb_step(
     st: OptimState,
     cfg: OptimConfig,
     lr: float,
-    layers=DEFAULT_LAYERS,
+    layers=None,
 ) -> tuple[TensorBuf, OptimState]:
     """One LAMB step: Adam direction rescaled per layer by the trust ratio.
 
-    ``layers`` is a sequence of (name, start, stop) half-open slices covering
-    the parameter vector; None treats the whole vector as one layer.
+    ``layers`` is a sequence of (name, start, stop) half-open slices that
+    tile the parameter vector in order; None or an empty sequence treats
+    the whole vector as one layer. A partition that does not tile raises
+    ``ShapeMismatch``.
     """
-    return _grouped_step(w, g, st, cfg, lr, True, layers)
+    return _grouped_step(w, g, st, cfg, lr, layers, cfg.trust_clip)
 
 
 def optimizer_step(
@@ -392,7 +392,7 @@ def optimizer_step(
     st: OptimState,
     cfg: OptimConfig,
     lr: float,
-    layers=DEFAULT_LAYERS,
+    layers=None,
 ) -> tuple[TensorBuf, OptimState]:
     if cfg.algorithm == Algorithm.LAMB:
         return lamb_step(w, g, st, cfg, lr, layers)
@@ -402,9 +402,15 @@ def optimizer_step(
 # --- checkpoint io ---------------------------------------------------------
 
 CKPT_MAGIC = b"TOPT"
-CKPT_VERSION = 2
-# Header per version; version 2 appends the state's block_size (u32).
-_CKPT_HEADS = {1: struct.Struct("<4sHBBQB3x6dQ"), 2: struct.Struct("<4sHBBQB3x6dQI")}
+CKPT_VERSION = 3
+# Header per version. Version 2 appended the state's block_size (u32);
+# version 3 drops the tier byte and the transfer counter of versions 1 and
+# 2, which held no data, and ends the file with a CRC-32 of all bytes before it.
+_CKPT_HEADS = {
+    1: struct.Struct("<4sHBBQB3x6dQ"),
+    2: struct.Struct("<4sHBBQB3x6dQI"),
+    3: struct.Struct("<4sHBBQ6dI"),
+}
 
 
 def _write_chunk(parts: list, chunk: QuantizedChunk):
@@ -413,10 +419,13 @@ def _write_chunk(parts: list, chunk: QuantizedChunk):
     parts.append(raw)
 
 
-def _read_chunk(buf: bytes, off: int):
-    (length,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    return codec.chunk_from_bytes(buf[off : off + length]), off + length
+def _read_chunk(buf: bytes, off: int, end: int):
+    """The length-prefixed chunk at ``off``; it must end by ``end``."""
+    start = off + 4
+    stop = start + int.from_bytes(buf[off:start], "little")
+    if stop > end:
+        raise MalformedChunk("checkpoint ends inside its chunk table")
+    return codec.chunk_from_bytes(buf[start:stop]), stop
 
 
 def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
@@ -430,22 +439,19 @@ def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
     parts = [
         _CKPT_HEADS[CKPT_VERSION].pack(
             CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, packed.step,
-            int(packed.tier), cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
-            cfg.trust_clip[0], cfg.trust_clip[1], packed.transfer_bytes_accumulated,
-            cfg.block_size,
+            cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
+            cfg.trust_clip[0], cfg.trust_clip[1], cfg.block_size,
         )
     ]
     _write_chunk(parts, codec.encode_f32(w))
-    if cfg.state_bits == 8:
-        _write_chunk(parts, packed.m)
-        _write_chunk(parts, packed.v)
-    else:
-        _write_chunk(parts, codec.encode_f32(packed.m))
-        _write_chunk(parts, codec.encode_f32(packed.v))
+    for buf in (packed.m, packed.v):
+        _write_chunk(parts, buf if packed.packed else codec.encode_f32(buf))
+    body = b"".join(parts)
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(b"".join(parts))
+            f.write(body)
+            f.write(struct.pack("<I", zlib.crc32(body)))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -456,54 +462,56 @@ def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
 
 
 def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
-    """Read a checkpoint of version 1 or 2.
+    """Read a checkpoint of version 1, 2 or 3.
 
-    Version 1 did not store ``block_size``; it is taken from the 8-bit
-    state's chunks, and is the default for fp32 state.
+    A version 3 file whose CRC-32 does not match raises ``ChecksumMismatch``.
+    Versions 1 and 2 carry no checksum; their tier byte and transfer counter
+    are skipped. Version 1 did not store ``block_size``; it is taken from
+    the 8-bit state's chunks, and is the default for fp32 state. Any other
+    inconsistency raises ``MalformedChunk``.
     """
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:4] != CKPT_MAGIC:
         raise MalformedChunk("not an optimizer checkpoint (bad magic)")
-    if len(buf) < _CKPT_HEADS[1].size:
-        raise MalformedChunk(f"checkpoint shorter than its header: {len(buf)} bytes")
-    (version,) = struct.unpack_from("<H", buf, 4)
+    version = int.from_bytes(buf[4:6], "little")
     head = _CKPT_HEADS.get(version)
     if head is None:
         raise MalformedChunk(f"unsupported checkpoint version {version}")
-    if len(buf) < head.size:
+    end = len(buf) - 4 if version >= 3 else len(buf)
+    if end < head.size:
         raise MalformedChunk(f"checkpoint shorter than its header: {len(buf)} bytes")
-    (_, _, algo, bits, step, tier, b1, b2, eps, wd, tmin, tmax, xfer, *block
-     ) = head.unpack_from(buf)
-    try:
-        algo, tier = Algorithm(algo), Tier(tier)
-    except ValueError as e:
-        raise MalformedChunk(f"checkpoint header: {e}") from None
-    off = head.size
-    w_chunk, off = _read_chunk(buf, off)
-    m_chunk, off = _read_chunk(buf, off)
-    v_chunk, off = _read_chunk(buf, off)
+    if version >= 3 and zlib.crc32(memoryview(buf)[:end]) != int.from_bytes(buf[end:], "little"):
+        raise ChecksumMismatch("checkpoint bytes do not match their CRC-32")
+    fields = head.unpack_from(buf)
+    if version < 3:  # skip the tier byte and the transfer counter
+        fields = fields[:5] + fields[6:12] + fields[13:]
+    _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, *block = fields
+    w_chunk, off = _read_chunk(buf, head.size, end)
+    m_chunk, off = _read_chunk(buf, off, end)
+    v_chunk, off = _read_chunk(buf, off, end)
+    if off != end:
+        raise MalformedChunk(f"{end - off} bytes after the last chunk")
     if block:
         (block_size,) = block
-    elif bits == 8:
-        block_size = m_chunk.block_size
     else:
-        block_size = OptimConfig.block_size
-    if bits == 8 and not m_chunk.block_size == v_chunk.block_size == block_size:
-        raise MalformedChunk(
-            f"8-bit state chunks in blocks of {m_chunk.block_size} and "
-            f"{v_chunk.block_size}, header says {block_size}"
+        block_size = m_chunk.block_size if bits == 8 else OptimConfig.block_size
+    n, want = w_chunk.num_elements, codec.Scheme.Q8_BLOCKWISE if bits == 8 else codec.Scheme.F32_RAW
+    for c in (m_chunk, v_chunk):
+        if c.num_elements != n or c.scheme != want or (bits == 8 and c.block_size != block_size):
+            raise MalformedChunk(
+                f"state chunk {c.scheme.name} of {c.num_elements} elements in blocks of "
+                f"{c.block_size}; want {want.name} of {n} in blocks of {block_size}"
+            )
+    try:
+        cfg = OptimConfig(
+            algorithm=algo, beta1=b1, beta2=b2, epsilon=eps,
+            weight_decay=wd, trust_clip=(tmin, tmax), state_bits=bits,
+            block_size=block_size,
         )
-    cfg = OptimConfig(
-        algorithm=algo, beta1=b1, beta2=b2, epsilon=eps,
-        weight_decay=wd, trust_clip=(tmin, tmax), state_bits=bits,
-        state_tier=tier, block_size=block_size,
-    )
-    w = codec.decode_f32(w_chunk)
-    if bits == 8:
-        st = OptimState(m=m_chunk, v=v_chunk, step=step, tier=tier,
-                        transfer_bytes_accumulated=xfer)
-    else:
-        st = OptimState(m=codec.decode_f32(m_chunk), v=codec.decode_f32(v_chunk),
-                        step=step, tier=tier, transfer_bytes_accumulated=xfer)
-    return cfg, st, w
+    except ConfigError as e:
+        raise MalformedChunk(f"checkpoint header: {e}") from None
+    m, v = m_chunk, v_chunk
+    if bits == 32:
+        m, v = codec.decode_f32(m), codec.decode_f32(v)
+    return cfg, OptimState(m=m, v=v, step=step), codec.decode_f32(w_chunk)

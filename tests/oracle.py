@@ -1,5 +1,6 @@
-"""Whole-tensor reference implementations of the Q8 codec and the Adam/LAMB
+"""Whole-tensor reference implementations of the Q8 codec and the LAMB
 step, kept as the tests' oracle for the grouped versions in ``swarmdesk``.
+Adam is checked against ``lamb_step`` with ``trust_clip=(1.0, 1.0)``.
 
 They zero-pad the tensor to whole blocks, decode the full 8-bit state before
 the step and encode it again after it. The grouped code must reproduce
@@ -73,16 +74,6 @@ def _moments(g, st, cfg):
     mhat = m / (one - b1 ** np.float32(step)) if cfg.beta1 > 0 else m
     vhat = v / (one - b2 ** np.float32(step)) if cfg.beta2 > 0 else v
     return m, v, mhat, vhat, step
-
-
-def adam_step(w, g, st, cfg, lr):
-    work = unpack_state(st)
-    m, v, mhat, vhat, step = _moments(g.data, work, cfg)
-    lr32 = np.float32(lr)
-    update = lr32 * (mhat / (np.sqrt(vhat) + np.float32(cfg.epsilon)))
-    new_w = w.data - update - lr32 * np.float32(cfg.weight_decay) * w.data
-    out = replace(work, m=TensorBuf(m), v=TensorBuf(v), step=step)
-    return TensorBuf(new_w, w.shape), pack_state(out, cfg.state_bits, cfg.block_size)
 
 
 def lamb_step(w, g, st, cfg, lr, layers=None):

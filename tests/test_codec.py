@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from swarmdesk import codec
 from swarmdesk.codec import CodecPolicy, Scheme, TensorBuf
-from swarmdesk.errors import MalformedChunk, NonFiniteInput, OverflowToInfinity
+from swarmdesk.errors import MalformedChunk, NonFiniteInput, OverflowToInfinity, SwarmError
 
 import oracle
 
@@ -407,3 +407,28 @@ def test_f16_roundtrip_is_projection(values):
     once = codec.decode_f16(codec.encode_f16(TensorBuf(x))).data
     twice = codec.decode_f16(codec.encode_f16(TensorBuf(once))).data
     assert np.array_equal(once, twice)
+
+
+_FUZZ_X = TensorBuf(np.linspace(-3.0, 3.0, 37, dtype=np.float32))
+_FUZZ_CHUNKS = [
+    codec.chunk_to_bytes(c)
+    for c in (codec.quantize_q8(_FUZZ_X, 8), codec.encode_f16(_FUZZ_X), codec.encode_f32(_FUZZ_X))
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_mangled_chunk_raises_only_swarm_errors(data):
+    """Random, cut and byte-mutated wire bytes decode or raise a SwarmError."""
+    raw = bytearray(
+        data.draw(st.sampled_from(_FUZZ_CHUNKS) | st.binary(max_size=64).map(codec.MAGIC.__add__))
+    )
+    for at, byte in data.draw(
+        st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)), max_size=8)
+    ):
+        raw[at] = byte
+    raw = bytes(raw[: data.draw(st.integers(0, len(raw)))]) + data.draw(st.binary(max_size=16))
+    try:
+        codec.decode(codec.chunk_from_bytes(raw))
+    except SwarmError:
+        pass

@@ -1,8 +1,11 @@
-"""Optimizers: schedule shape, Adam/LAMB steps vs scalar oracles, 8-bit state, tiers."""
+"""Optimizers: schedule shape, Adam/LAMB steps vs scalar oracles, layer partitions,
+8-bit state, config validation and checkpoints."""
 
 import math
 import os
+import struct
 import tracemalloc
+import zlib
 from dataclasses import replace
 from unittest import mock
 
@@ -14,24 +17,24 @@ from hypothesis import strategies as hs
 from swarmdesk import codec, optim
 from swarmdesk.codec import TensorBuf
 from swarmdesk.errors import (
+    ChecksumMismatch,
     ConfigError,
     MalformedChunk,
     NonFiniteGradient,
     ShapeMismatch,
     StepOutOfRange,
+    SwarmError,
 )
 from swarmdesk.optim import (
     Algorithm,
     OptimConfig,
     OptimState,
     ScheduleConfig,
-    Tier,
     adam_step,
     init_state,
     lamb_step,
     lr_at,
     pack_state,
-    tier_transfer,
     trust_ratio,
     unpack_state,
 )
@@ -192,7 +195,7 @@ class TestLamb:
                           adam_cfg, 0.05)
         wl, _ = lamb_step(TensorBuf(w0.copy()), g, init_state(32, lamb_cfg),
                           lamb_cfg, 0.05)
-        np.testing.assert_allclose(wa.data, wl.data, atol=1e-6)
+        assert wa.data.tobytes() == wl.data.tobytes()
 
     def test_trust_ratio_scales_with_weight_norm(self):
         # power-of-two factor keeps the fp division exact
@@ -284,31 +287,6 @@ class TestPackedState:
             assert np.linalg.norm(finals[bits] - w_star) / np.linalg.norm(w_star) <= 1e-3
 
 
-class TestTierTransfer:
-    def test_fp32_bytes(self):
-        st = init_state(1000, OptimConfig.adam())
-        moved = tier_transfer(st, Tier.OFFLOADED)
-        assert moved.tier == Tier.OFFLOADED
-        assert moved.transfer_bytes_accumulated == 8000
-
-    def test_8bit_bytes(self):
-        st = init_state(1000, OptimConfig.adam(state_bits=8))
-        moved = tier_transfer(st, Tier.OFFLOADED)
-        # two buffers: 1000 code bytes + one 4-byte scale each
-        assert moved.transfer_bytes_accumulated == 2 * (1000 + 4)
-
-    def test_values_unchanged_after_two_transfers(self):
-        rng = np.random.default_rng(47)
-        m = rng.standard_normal(256).astype(np.float32)
-        v = (rng.standard_normal(256) ** 2).astype(np.float32)
-        st = OptimState(m=TensorBuf(m), v=TensorBuf(v))
-        back = tier_transfer(tier_transfer(st, Tier.OFFLOADED), Tier.COMPUTE)
-        assert back.tier == Tier.COMPUTE
-        assert back.m.data.tobytes() == m.tobytes()
-        assert back.v.data.tobytes() == v.tobytes()
-        assert back.transfer_bytes_accumulated == 2 * 2048
-
-
 class TestCheckpoint:
     def test_roundtrip_fp32(self, tmp_path):
         rng = np.random.default_rng(53)
@@ -350,6 +328,21 @@ class TestCheckpoint:
             optim.load_checkpoint(path)
 
 
+def _as_version(raw: bytes, version: int) -> bytes:
+    """A version 3 checkpoint in the layout of version 1 or 2: no CRC, and a
+    tier byte and transfer counter that the reader must skip."""
+    head = optim._CKPT_HEADS[3]
+    magic, _, algo, bits, step, *floats, block = head.unpack_from(raw)
+    old = optim._CKPT_HEADS[version].pack(
+        magic, version, algo, bits, step, 1, *floats, 12345, *([block] if version == 2 else [])
+    )
+    return old + raw[head.size : -4]
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _same_state(a: OptimState, b: OptimState) -> bool:
     if a.step != b.step or a.packed != b.packed:
         return False
@@ -361,6 +354,11 @@ def _same_state(a: OptimState, b: OptimState) -> bool:
             for x, y in ((a.m, b.m), (a.v, b.v))
         )
     return a.m.data.tobytes() == b.m.data.tobytes() and a.v.data.tobytes() == b.v.data.tobytes()
+
+
+def _unit_clip(cfg):
+    """Adam is LAMB with the trust ratio fixed at 1, over the whole vector."""
+    return replace(cfg, trust_clip=(1.0, 1.0))
 
 
 def _assert_steps_match_oracle(n, cfg, layers, steps, seed):
@@ -375,7 +373,7 @@ def _assert_steps_match_oracle(n, cfg, layers, steps, seed):
             w_ref, s_ref = oracle.lamb_step(w_ref, g, s_ref, cfg, 0.01, layers)
         else:
             w, s = adam_step(w, g, s, cfg, 0.01)
-            w_ref, s_ref = oracle.adam_step(w_ref, g, s_ref, cfg, 0.01)
+            w_ref, s_ref = oracle.lamb_step(w_ref, g, s_ref, _unit_clip(cfg), 0.01)
         assert w.data.tobytes() == w_ref.data.tobytes()
         assert _same_state(s, s_ref)
 
@@ -444,7 +442,8 @@ class TestGroupedStep:
         before = snapshot()
         got_w, got_st = optim.optimizer_step(w, g, st, cfg, 0.01)
         assert snapshot() == before
-        want_w, want_st = getattr(oracle, f"{algo}_step")(w, g, st, cfg, 0.01)
+        ref_cfg = cfg if algo == "lamb" else _unit_clip(cfg)
+        want_w, want_st = oracle.lamb_step(w, g, st, ref_cfg, 0.01)
         assert got_w.data.tobytes() == want_w.data.tobytes()
         assert _same_state(got_st, want_st)
 
@@ -465,8 +464,9 @@ class TestGroupedStep:
             finally:
                 tracemalloc.stop()
         assert peaks[8] < peaks[32]
-        # r and the new weights (8 bytes per parameter), the new 8-bit state
-        # (2) and one group's temporaries
+        # r, which becomes the new weights (4 bytes per parameter), the new
+        # 8-bit state (4 while its groups are joined) and one group's
+        # temporaries
         assert peaks[8] < 11 * n + 12 * optim._GROUP * 4
 
     def test_packed_state_in_other_block_size_is_refused(self):
@@ -507,13 +507,10 @@ class TestCheckpointFormat:
     def test_reads_version_1(self, tmp_path, bits, want_block):
         cfg = OptimConfig.lamb(state_bits=bits, block_size=64)
         w, st, _ = self._run(cfg)
-        path = tmp_path / "v2.topt"
+        path = tmp_path / "v3.topt"
         optim.save_checkpoint(path, cfg, st, w)
-        raw = path.read_bytes()
-        fields = optim._CKPT_HEADS[2].unpack_from(raw)
-        v1 = optim._CKPT_HEADS[1].pack(fields[0], 1, *fields[2:-1])
         old = tmp_path / "v1.topt"
-        old.write_bytes(v1 + raw[optim._CKPT_HEADS[2].size :])
+        old.write_bytes(_as_version(path.read_bytes(), 1))
         cfg1, st1, w1 = optim.load_checkpoint(old)
         assert cfg1 == replace(cfg, block_size=want_block)
         assert w1.data.tobytes() == w.data.tobytes()
@@ -530,16 +527,94 @@ class TestCheckpointFormat:
             with pytest.raises(MalformedChunk):
                 optim.load_checkpoint(path)
 
-    @pytest.mark.parametrize("offset", [6, 16], ids=["algorithm", "tier"])
+    @pytest.mark.parametrize("offset", [6], ids=["algorithm"])
     def test_enum_byte_out_of_range_is_malformed(self, tmp_path, offset):
+        """On a version 2 file, which has no CRC to fail first."""
         cfg = OptimConfig.adam()
         w, st, _ = self._run(cfg, n=8, steps=1)
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, st, w)
-        raw = bytearray(path.read_bytes())
+        raw = bytearray(_as_version(path.read_bytes(), 2))
         raw[offset] = 7
         path.write_bytes(bytes(raw))
         with pytest.raises(MalformedChunk):
+            optim.load_checkpoint(path)
+
+    def test_reads_version_2_and_skips_its_tier_fields(self, tmp_path):
+        cfg = OptimConfig.lamb(state_bits=8, block_size=64)
+        w, st, _ = self._run(cfg)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        path.write_bytes(_as_version(path.read_bytes(), 2))
+        cfg2, st2, w2 = optim.load_checkpoint(path)
+        assert cfg2 == cfg
+        assert w2.data.tobytes() == w.data.tobytes()
+        assert _same_state(st2, st)
+
+    def test_crc_mismatch_raises_checksum_mismatch(self, tmp_path):
+        cfg = OptimConfig.lamb(state_bits=8)
+        w, st, _ = self._run(cfg, n=8, steps=1)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        raw = path.read_bytes()
+        assert raw[-4:] == struct.pack("<I", zlib.crc32(raw[:-4]))
+        for offset in (6, 20, len(raw) // 2, len(raw) - 5, len(raw) - 1):
+            bad = bytearray(raw)
+            bad[offset] ^= 0x10
+            path.write_bytes(bytes(bad))
+            with pytest.raises(ChecksumMismatch):
+                optim.load_checkpoint(path)
+        assert issubclass(ChecksumMismatch, MalformedChunk)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_every_truncation_is_malformed(self, tmp_path, version):
+        cfg = OptimConfig.adam()
+        w, st, _ = self._run(cfg, n=8, steps=1)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        raw = path.read_bytes()
+        if version < 3:
+            raw = _as_version(raw, version)
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            past_head = version < 3 and cut >= optim._CKPT_HEADS[version].size
+            with pytest.raises(MalformedChunk, match="chunk table" if past_head else None):
+                optim.load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_trailing_bytes_are_malformed(self, tmp_path, version):
+        cfg = OptimConfig.adam()
+        w, st, _ = self._run(cfg, n=8, steps=1)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        raw = path.read_bytes()
+        longer = _as_version(raw, version) + b"\0" if version < 3 else _with_crc(raw[:-4] + b"\0")
+        path.write_bytes(longer)
+        with pytest.raises(MalformedChunk, match="after the last chunk"):
+            optim.load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("bits", [32, 8])
+    def test_state_of_another_length_is_malformed(self, tmp_path, version, bits):
+        cfg = OptimConfig.adam(state_bits=bits, block_size=4)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, init_state(7, cfg), TensorBuf(np.ones(8, np.float32)))
+        raw = path.read_bytes()
+        path.write_bytes(_as_version(raw, version) if version < 3 else raw)
+        with pytest.raises(MalformedChunk, match="of 7 elements"):
+            optim.load_checkpoint(path)
+
+    def test_state_in_another_scheme_is_malformed(self, tmp_path):
+        cfg = OptimConfig.adam(state_bits=8)
+        w = TensorBuf(np.ones(8, np.float32))
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
+        f16 = replace(codec.encode_f16(w), block_size=cfg.block_size)
+        parts = [path.read_bytes()[: optim._CKPT_HEADS[3].size]]
+        for chunk in (codec.encode_f32(w), f16, f16):
+            optim._write_chunk(parts, chunk)
+        path.write_bytes(_with_crc(b"".join(parts)))
+        with pytest.raises(MalformedChunk, match="state chunk F16"):
             optim.load_checkpoint(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
@@ -554,3 +629,92 @@ class TestCheckpointFormat:
                 optim.save_checkpoint(path, cfg, st2, w2)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["c.topt"]
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    """A directory to write into and one small 8-bit LAMB checkpoint's bytes."""
+    cfg = OptimConfig.lamb(state_bits=8, block_size=4)
+    rng = np.random.default_rng(71)
+    w = TensorBuf(rng.standard_normal(10).astype(np.float32))
+    w, st = lamb_step(w, w, init_state(10, cfg), cfg, 0.01)
+    path = tmp_path_factory.mktemp("fuzz") / "c.topt"
+    optim.save_checkpoint(path, cfg, st, w)
+    return path.parent, path.read_bytes()
+
+
+@pytest.mark.parametrize("version, fix_crc", [(2, False), (3, False), (3, True)],
+                         ids=["v2", "v3", "v3-crc-fixed"])
+@settings(max_examples=300, deadline=None)
+@given(data=hs.data())
+def test_mangled_checkpoint_raises_only_swarm_errors(saved_checkpoint, version, fix_crc, data):
+    """Cut, byte-mutated and extended files are refused with a SwarmError or
+    load. With the CRC fixed up after the damage, a version 3 file gets past
+    the checksum to the structural checks."""
+    folder, raw = saved_checkpoint
+    body = bytearray(_as_version(raw, 2) if version == 2 else raw[:-4] if fix_crc else raw)
+    for at, byte in data.draw(
+        hs.lists(hs.tuples(hs.integers(0, len(body) - 1), hs.integers(0, 255)), max_size=8)
+    ):
+        body[at] = byte
+    body = bytes(body[: data.draw(hs.integers(0, len(body)))]) + data.draw(hs.binary(max_size=64))
+    path = folder / "mangled.topt"
+    path.write_bytes(_with_crc(body) if fix_crc else body)
+    try:
+        optim.load_checkpoint(path)
+    except SwarmError:
+        pass
+
+
+class TestLayerPartition:
+    def _step(self, layers, n=4):
+        cfg = OptimConfig.lamb()
+        w = TensorBuf(np.arange(1.0, n + 1.0, dtype=np.float32))
+        return lamb_step(w, TensorBuf(np.ones(n, np.float32)), init_state(n, cfg), cfg, 0.1, layers)
+
+    def test_empty_partition_is_the_whole_vector(self):
+        whole, _ = self._step(None)
+        empty, st = self._step(())
+        assert empty.data.tobytes() == whole.data.tobytes()
+        assert np.all(empty.data != np.arange(1.0, 5.0))
+        assert st.step == 1
+
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            (("a", 0, 2),),
+            (("a", 0, 9),),
+            (("a", 0, 3), ("b", 2, 4)),
+            (("a", 1, 4),),
+            (("b", 2, 4), ("a", 0, 2)),
+        ],
+        ids=["gap-at-end", "past-the-end", "overlap", "gap-at-start", "out-of-order"],
+    )
+    def test_partition_that_does_not_tile_is_refused(self, layers):
+        with pytest.raises(ShapeMismatch):
+            self._step(layers)
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        pytest.param(make, field, value, id=f"{make.__name__}.{field}={value}")
+        for make, field, value in [
+            (OptimConfig, "epsilon", math.nan),
+            (OptimConfig, "weight_decay", math.nan),
+            (OptimConfig, "trust_clip", (math.nan, 1.0)),
+            (OptimConfig, "trust_clip", (0.0, math.nan)),
+            (OptimConfig, "beta1", math.nan),
+            (OptimConfig, "algorithm", 7),
+            (OptimConfig, "block_size", 0),
+            (ScheduleConfig, "peak_lr", math.nan),
+            (ScheduleConfig, "end_lr", math.nan),
+            (ScheduleConfig, "total_steps", math.nan),
+            (codec.CodecPolicy, "q8_threshold", 0),
+            (codec.CodecPolicy, "block_size", math.nan),
+        ]
+    ],
+)
+def test_invalid_config_is_config_error(make, field, value):
+    with pytest.raises(ConfigError):
+        make(**{field: value})
