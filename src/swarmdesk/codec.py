@@ -24,6 +24,11 @@ Scheme selection is a pure threshold on element count: large tensors go
 8-bit, everything else 16-bit. All rounding is round-half-to-even so that
 encoded bytes are identical across runs and platforms.
 
+Two value types carry the data. A ``TensorBuf`` is a flat fp32 vector. A
+``QuantizedChunk`` is one encoded tensor; it is checked once, when it is
+built (from an encoder, from wire bytes or by hand), and cannot change
+afterwards, so decoders and the wire writer take it as valid.
+
 Wire layout (little-endian), the unit an encoded tensor travels in:
 
     magic "TQC1" | scheme u8 | reserved u8*3 | num_elements u64 |
@@ -36,18 +41,19 @@ Payload is ``num_elements`` bytes for Q8, ``2*num_elements`` for F16 and
 from __future__ import annotations
 
 import enum
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, MalformedChunk, NonFiniteInput, OverflowToInfinity
 
 MAGIC = b"TQC1"
-HEADER_BYTES = 24  # magic(4) + scheme(1) + reserved(3) + n(8) + block(4) + count(4)
-F16_MAX = 65504.0
 _HEADER = struct.Struct("<4sB3xQII")
+HEADER_BYTES = _HEADER.size
+F16_MAX = 65504.0
+# Elements per Q8 block unless a caller picks another size.
+DEFAULT_BLOCK_SIZE = 4096
 # The largest Q8 scale whose 127 * scale is finite in fp32. Only an absmax
 # of the fp32 maximum itself gets a larger one.
 _SCALE_MAX = np.float32(2.6793884e36)
@@ -65,28 +71,17 @@ _FLOAT_DTYPES = {Scheme.F16: np.dtype("<f2"), Scheme.F32_RAW: np.dtype("<f4")}
 
 @dataclass(frozen=True)
 class TensorBuf:
-    """Flat fp32 vector with shape metadata; the unit all tensors travel as."""
+    """A flat, contiguous fp32 vector: the unit every tensor travels as.
+
+    The constructor flattens and casts any array-like; a contiguous fp32
+    vector is kept as it is, not copied.
+    """
 
     data: np.ndarray
-    shape: tuple[int, ...] = ()
 
     def __post_init__(self):
         arr = np.ascontiguousarray(self.data, dtype=np.float32).reshape(-1)
         object.__setattr__(self, "data", arr)
-        shape = tuple(int(d) for d in self.shape) if self.shape else (arr.size,)
-        object.__setattr__(self, "shape", shape)
-        if math.prod(shape) != arr.size:
-            raise MalformedChunk(
-                f"shape {shape} implies {math.prod(shape)} elements, buffer has {arr.size}"
-            )
-
-    @classmethod
-    def from_array(cls, arr) -> "TensorBuf":
-        a = np.asarray(arr, dtype=np.float32)
-        return cls(a.reshape(-1), a.shape if a.ndim else (1,))
-
-    def to_array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)
 
     @property
     def num_elements(self) -> int:
@@ -100,7 +95,14 @@ class TensorBuf:
 
 @dataclass(frozen=True)
 class QuantizedChunk:
-    """Encoded tensor: scheme tag, per-block scales (Q8 only) and payload bytes."""
+    """Encoded tensor: scheme tag, per-block scales (Q8 only) and payload bytes.
+
+    The constructor checks that the fields fit together and raises
+    ``MalformedChunk`` when they do not. It keeps ``scales`` as a read-only
+    fp32 view, not a copy, so whoever built the array must not write it
+    afterwards, and ``payload`` as ``bytes`` (any other buffer is copied
+    once). A chunk that was built stays valid and no use checks it again.
+    """
 
     scheme: Scheme
     num_elements: int
@@ -108,7 +110,16 @@ class QuantizedChunk:
     scales: np.ndarray
     payload: bytes
 
-    def validate(self) -> "QuantizedChunk":
+    def __post_init__(self):
+        try:
+            object.__setattr__(self, "scheme", Scheme(self.scheme))
+        except ValueError:
+            raise MalformedChunk(f"unknown scheme {self.scheme!r}") from None
+        scales = np.asarray(self.scales, np.float32).view()
+        scales.flags.writeable = False
+        object.__setattr__(self, "scales", scales)
+        if not isinstance(self.payload, bytes):
+            object.__setattr__(self, "payload", bytes(self.payload))
         n = self.num_elements
         if n < 0:
             raise MalformedChunk("negative element count")
@@ -116,29 +127,22 @@ class QuantizedChunk:
             if self.block_size < 1:
                 raise MalformedChunk("Q8 chunk needs block_size >= 1")
             want_scales = -(-n // self.block_size)
-            if self.scales.size != want_scales:
-                raise MalformedChunk(
-                    f"expected {want_scales} scales, got {self.scales.size}"
-                )
+            if scales.size != want_scales:
+                raise MalformedChunk(f"expected {want_scales} scales, got {scales.size}")
             if len(self.payload) != n:
                 raise MalformedChunk(
                     f"Q8 payload must be {n} bytes, got {len(self.payload)}"
                 )
             # a NaN scale fails both comparisons
-            if self.scales.size and not (
-                self.scales.min() >= 0 and self.scales.max() <= _SCALE_MAX
-            ):
+            if scales.size and not (scales.min() >= 0 and scales.max() <= _SCALE_MAX):
                 raise MalformedChunk(f"scales must lie in [0, {_SCALE_MAX}]")
         elif self.scheme in _FLOAT_DTYPES:
             size = _FLOAT_DTYPES[self.scheme].itemsize * n
-            if self.scales.size or len(self.payload) != size:
+            if scales.size or len(self.payload) != size:
                 raise MalformedChunk(
-                    f"{Scheme(self.scheme).name} chunk needs no scales and {size} payload "
-                    f"bytes, got {self.scales.size} and {len(self.payload)}"
+                    f"{self.scheme.name} chunk needs no scales and {size} payload "
+                    f"bytes, got {scales.size} and {len(self.payload)}"
                 )
-        else:
-            raise MalformedChunk(f"unknown scheme {self.scheme!r}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -150,7 +154,7 @@ class CodecPolicy:
     """
 
     q8_threshold: int = 65536
-    block_size: int = 4096
+    block_size: int = DEFAULT_BLOCK_SIZE
     lossless: bool = False
 
     def __post_init__(self):
@@ -218,7 +222,7 @@ def _quantize_blocks(x, scales, codes, quot, rounded) -> None:
     np.copyto(codes, rounded, casting="unsafe")
 
 
-def quantize_q8(t: TensorBuf, block_size: int = 4096) -> QuantizedChunk:
+def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedChunk:
     """Blockwise absmax quantization to signed bytes.
 
     Per block: scale = absmax/127 (fp32), code = round-half-to-even(x/scale)
@@ -256,9 +260,7 @@ def quantize_q8(t: TensorBuf, block_size: int = 4096) -> QuantizedChunk:
         _quantize_blocks(
             x[full:].reshape(1, -1), scales[-1:], codes[full:].reshape(1, -1), quot, rounded
         )
-    return QuantizedChunk(
-        Scheme.Q8_BLOCKWISE, n, block_size, scales, codes.tobytes()
-    ).validate()
+    return QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, scales, codes.tobytes())
 
 
 def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
@@ -271,7 +273,6 @@ def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
     """
     if c.scheme != Scheme.Q8_BLOCKWISE:
         raise MalformedChunk(f"dequantize_q8 got scheme {c.scheme!r}")
-    c.validate()
     n, bs = c.num_elements, c.block_size
     out = np.frombuffer(c.payload, dtype=np.int8).astype(np.float32)
     full = n - n % bs
@@ -286,15 +287,12 @@ def _encode_float(t: TensorBuf, scheme: Scheme) -> QuantizedChunk:
     """Encode as the float scheme's payload type; NaN/Inf are rejected."""
     t.require_finite()
     payload = t.data.astype(_FLOAT_DTYPES[scheme]).tobytes()
-    return QuantizedChunk(
-        scheme, t.num_elements, 0, np.zeros(0, np.float32), payload
-    ).validate()
+    return QuantizedChunk(scheme, t.num_elements, 0, np.zeros(0, np.float32), payload)
 
 
 def _decode_float(c: QuantizedChunk, scheme: Scheme) -> TensorBuf:
     if c.scheme != scheme:
         raise MalformedChunk(f"expected a {scheme.name} chunk, got scheme {c.scheme!r}")
-    c.validate()
     return TensorBuf(np.frombuffer(c.payload, dtype=_FLOAT_DTYPES[scheme]).astype(np.float32))
 
 
@@ -334,12 +332,10 @@ def decode(c: QuantizedChunk) -> TensorBuf:
         return dequantize_q8(c)
     if c.scheme == Scheme.F16:
         return decode_f16(c)
-    if c.scheme == Scheme.F32_RAW:
-        return decode_f32(c)
-    raise MalformedChunk(f"unknown scheme {c.scheme!r}")
+    return decode_f32(c)
 
 
-def encoded_size(scheme: Scheme, n: int, block_size: int = 4096) -> int:
+def encoded_size(scheme: Scheme, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     """Wire size in bytes of an n-element chunk, header included."""
     if n < 0:
         raise MalformedChunk("element count must be >= 0")
@@ -351,7 +347,6 @@ def encoded_size(scheme: Scheme, n: int, block_size: int = 4096) -> int:
 
 
 def chunk_to_bytes(c: QuantizedChunk) -> bytes:
-    c.validate()
     head = _HEADER.pack(MAGIC, int(c.scheme), c.num_elements, c.block_size, c.scales.size)
     return head + c.scales.astype("<f4").tobytes() + c.payload
 
@@ -359,18 +354,14 @@ def chunk_to_bytes(c: QuantizedChunk) -> bytes:
 def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
     if len(raw) < HEADER_BYTES:
         raise MalformedChunk(f"chunk shorter than header: {len(raw)} bytes")
-    magic, scheme_b, n, block_size, scale_count = _HEADER.unpack_from(raw)
+    magic, scheme, n, block_size, scale_count = _HEADER.unpack_from(raw)
     if magic != MAGIC:
         raise MalformedChunk(f"bad magic {magic!r}")
-    try:
-        scheme = Scheme(scheme_b)
-    except ValueError:
-        raise MalformedChunk(f"unknown scheme byte {scheme_b}") from None
     off = HEADER_BYTES + 4 * scale_count
     if len(raw) < off:
         raise MalformedChunk("truncated scales")
-    scales = np.frombuffer(raw[HEADER_BYTES:off], dtype="<f4").astype(np.float32)
-    return QuantizedChunk(scheme, n, block_size, scales, raw[off:]).validate()
+    scales = np.frombuffer(raw[HEADER_BYTES:off], dtype="<f4")
+    return QuantizedChunk(scheme, n, block_size, scales, raw[off:])
 
 
 # roundtrip_error_bound per unit of scale: half a scale from rounding to a

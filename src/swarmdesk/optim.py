@@ -19,8 +19,8 @@ The moment math runs over the vector in groups of whole state blocks
 update them, encode them again, and write the group's slice of r. 8-bit
 state is therefore never decoded whole. Beyond one group's temporaries,
 including two fp32 work buffers that every group reuses, a step's transient
-memory is r, which becomes the new weights, and the new state: at most 2x
-the parameter bytes with 8-bit state (while the groups' chunks are joined)
+memory is r, which becomes the new weights, and the new state: at most 1.75x
+the parameter bytes with 8-bit state (while v's group chunks are joined)
 and 3x with fp32 state. Packed state must use the config's ``block_size``.
 
 Checkpoint file (version 3): magic "TOPT", a fixed config block (version,
@@ -28,7 +28,8 @@ algorithm, state bits, step, betas, epsilon, weight decay, trust clip,
 block_size), the weight, m and v buffers as codec chunks, each
 length-prefixed (u32, little-endian), and a CRC-32 (u32) of every byte
 before it. It is written to a temporary file and renamed into place.
-Versions 1 and 2 are still read.
+Versions 1 and 2 are still read. The learning-rate schedule and the layer
+partition are not in the file: the caller passes them to every step.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec
-from .codec import QuantizedChunk, TensorBuf
+from .codec import DEFAULT_BLOCK_SIZE, QuantizedChunk, TensorBuf
 from .errors import (
     ChecksumMismatch,
     ConfigError,
@@ -107,7 +108,7 @@ class OptimConfig:
     weight_decay: float = 0.0
     trust_clip: tuple[float, float] = (0.0, 10.0)
     state_bits: int = 32
-    block_size: int = 4096
+    block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
         try:
@@ -161,7 +162,7 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     return pack_state(st, cfg.state_bits, cfg.block_size)
 
 
-def pack_state(st: OptimState, state_bits: int, block_size: int = 4096) -> OptimState:
+def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_SIZE) -> OptimState:
     """Encode moments per state_bits. 8-bit packs m directly and v via sqrt."""
     if state_bits == 32:
         return unpack_state(st)
@@ -206,15 +207,19 @@ def state_nbytes(st: OptimState) -> int:
     return one(st.m) + one(st.v)
 
 
+def _require_state_fits(st: OptimState, w: TensorBuf):
+    if st.num_elements != w.num_elements:
+        raise ShapeMismatch(
+            f"optimizer state sized {st.num_elements}, weights {w.num_elements}"
+        )
+
+
 def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
     if w.num_elements != g.num_elements:
         raise ShapeMismatch(
             f"weights have {w.num_elements} elements, gradient {g.num_elements}"
         )
-    if st.num_elements != w.num_elements:
-        raise ShapeMismatch(
-            f"optimizer state sized {st.num_elements}, weights {w.num_elements}"
-        )
+    _require_state_fits(st, w)
     if g.data.size and not np.isfinite(g.data).all():
         raise NonFiniteGradient("gradient contains NaN or Inf")
 
@@ -264,7 +269,7 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
 
     Transient memory beyond a group's temporaries, per element: 4 bytes for
     r, which becomes the new weights, and the new state (fp32: 8 bytes;
-    8-bit: 4 bytes while the groups' chunks are joined, then 2).
+    8-bit: 3 bytes while v's group chunks are joined, then 2).
     """
     _check_inputs(w, g, st)
     _require_block_size(st, cfg.block_size)
@@ -288,7 +293,7 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
         end = stop
     if end != n:
         raise ShapeMismatch(f"layers cover [0, {end}) of {n} parameters")
-    return TensorBuf(r, w.shape), new
+    return TensorBuf(r), new
 
 
 def _update_groups(w, g, st, cfg, r) -> OptimState:
@@ -350,7 +355,9 @@ def _update_groups(w, g, st, cfg, r) -> OptimState:
             m_parts.append(codec.quantize_q8(TensorBuf(m), bs))
             v_parts.append(codec.quantize_q8(TensorBuf(v_root), bs))
     if out8:
-        return replace(st, m=_joined(m_parts, n, bs), v=_joined(v_parts, n, bs), step=step)
+        m_joined = _joined(m_parts, n, bs)
+        m_parts.clear()  # the groups' m chunks go before v's are joined
+        return replace(st, m=m_joined, v=_joined(v_parts, n, bs), step=step)
     return replace(st, m=TensorBuf(new_m), v=TensorBuf(new_v), step=step)
 
 
@@ -431,10 +438,15 @@ def _read_chunk(buf: bytes, off: int, end: int):
 def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
     """Write optimizer config, step, weights and moments so a run can resume.
 
-    The file is written beside ``path`` under a ``.tmp`` suffix, flushed to
-    disk and then renamed over ``path``, so a crash while saving leaves the
-    previous checkpoint whole.
+    The learning-rate schedule and the layer partition are not stored: the
+    caller owns them and passes them to every step, before and after a
+    resume. State with another element count than ``w`` raises
+    ``ShapeMismatch`` before anything is written. The file is written
+    beside ``path`` under a ``.tmp`` suffix, flushed to disk and then
+    renamed over ``path``, so a crash while saving leaves the previous
+    checkpoint whole.
     """
+    _require_state_fits(st, w)
     packed = pack_state(st, cfg.state_bits, cfg.block_size)
     parts = [
         _CKPT_HEADS[CKPT_VERSION].pack(
@@ -464,10 +476,12 @@ def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
 def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
     """Read a checkpoint of version 1, 2 or 3.
 
-    A version 3 file whose CRC-32 does not match raises ``ChecksumMismatch``.
-    Versions 1 and 2 carry no checksum; their tier byte and transfer counter
-    are skipped. Version 1 did not store ``block_size``; it is taken from
-    the 8-bit state's chunks, and is the default for fp32 state. Any other
+    It returns the config, the state and the weights; the schedule and the
+    layer partition are the caller's, as in ``save_checkpoint``. A version 3
+    file whose CRC-32 does not match raises ``ChecksumMismatch``. Versions 1
+    and 2 carry no checksum; their tier byte and transfer counter are
+    skipped. Version 1 did not store ``block_size``; it is taken from the
+    8-bit state's chunks, and is the default for fp32 state. Any other
     inconsistency raises ``MalformedChunk``.
     """
     with open(path, "rb") as f:

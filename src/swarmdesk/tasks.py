@@ -1,10 +1,10 @@
 """Closed-form training tasks standing in for the real model.
 
-Each task exposes a per-sample loss and analytic per-sample gradient over a
-flat parameter vector, so sample-weighted averaging across peers is exactly
-the batch gradient. Task math runs in float64; the protocol casts to fp32
-at the tensor boundary. Everything is a deterministic function of
-(seed, config).
+Each task gives the mean loss and the analytic sum of per-sample gradients
+of any batch of sample indices over a flat parameter vector, so summing
+peers' gradient sums and dividing by their sample count is exactly the
+batch gradient. Task math runs in float64; the caller casts to fp32 at the
+tensor boundary. Everything is a deterministic function of (seed, config).
 """
 
 from __future__ import annotations
@@ -24,16 +24,9 @@ class Task:
     param_dim: int
     n_samples: int
     init_params: np.ndarray
-    optimum: np.ndarray | None
     batch_loss: Callable  # (params f64, indices) -> mean loss, float
     batch_grad_sum: Callable  # (params f64, indices) -> sum of per-sample grads
     layers: tuple = ()  # (name, start, stop) partition for LAMB
-
-    def per_sample_grad(self, params, index) -> np.ndarray:
-        return self.batch_grad_sum(params, np.array([index]))
-
-    def per_sample_loss(self, params, index) -> float:
-        return self.batch_loss(params, np.array([index]))
 
     def full_loss(self, params) -> float:
         return self.batch_loss(params, np.arange(self.n_samples))
@@ -58,7 +51,6 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
         param_dim=dim,
         n_samples=n_samples,
         init_params=np.zeros(dim, np.float64),
-        optimum=w_star,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
         layers=(("w", 0, dim),),
@@ -88,7 +80,6 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
         param_dim=dim,
         n_samples=n_samples,
         init_params=np.zeros(dim, np.float64),
-        optimum=None,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
         layers=(("w", 0, dim),),
@@ -151,7 +142,6 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
         param_dim=dim,
         n_samples=n_samples,
         init_params=init,
-        optimum=None,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
         layers=(

@@ -34,13 +34,10 @@ def quantize_q8(t: TensorBuf, block_size: int = 4096) -> QuantizedChunk:
     q[scales == 0] = 0.0
     codes = np.clip(q, -127, 127).astype(np.int8)
     payload = codes.reshape(-1)[: t.num_elements].tobytes()
-    return QuantizedChunk(
-        Scheme.Q8_BLOCKWISE, t.num_elements, block_size, scales, payload
-    ).validate()
+    return QuantizedChunk(Scheme.Q8_BLOCKWISE, t.num_elements, block_size, scales, payload)
 
 
 def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
-    c.validate()
     codes = np.frombuffer(c.payload, dtype=np.int8)
     blocks = _blocked(codes.astype(np.float32), c.block_size)
     values = blocks * c.scales[:, None].astype(np.float32)
@@ -93,4 +90,4 @@ def lamb_step(w, g, st, cfg, lr, layers=None):
         )
         new_w[start:stop] = wl - lr32 * np.float32(ratio) * rl
     out = replace(work, m=TensorBuf(m), v=TensorBuf(v), step=step)
-    return TensorBuf(new_w, w.shape), pack_state(out, cfg.state_bits, cfg.block_size)
+    return TensorBuf(new_w), pack_state(out, cfg.state_bits, cfg.block_size)

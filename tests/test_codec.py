@@ -59,7 +59,7 @@ class TestSelectScheme:
 class TestQuantizeQ8:
     def test_reference_block(self):
         # scale = 2/127, codes = [64, -127, 32] per the scalar reference
-        t = TensorBuf.from_array([1.0, -2.0, 0.5])
+        t = TensorBuf([1.0, -2.0, 0.5])
         c = codec.quantize_q8(t, block_size=4096)
         scale = np.float32(2.0) / np.float32(127.0)
         assert c.scales[0] == scale
@@ -68,7 +68,7 @@ class TestQuantizeQ8:
         assert codes.tolist() == scalar_quantize_block([1.0, -2.0, 0.5], float(scale))
 
     def test_all_zero_tensor(self):
-        t = TensorBuf.from_array(np.zeros(100, np.float32))
+        t = TensorBuf(np.zeros(100, np.float32))
         c = codec.quantize_q8(t, block_size=16)
         assert np.all(c.scales == 0.0)
         assert np.frombuffer(c.payload, np.int8).tolist() == [0] * 100
@@ -127,13 +127,13 @@ class TestQuantizeQ8:
     def test_rejects_nonfinite(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(NonFiniteInput):
-                codec.quantize_q8(TensorBuf.from_array([1.0, bad]), 4)
+                codec.quantize_q8(TensorBuf([1.0, bad]), 4)
 
     @pytest.mark.parametrize("top", [3.4028235e38, -3.4028235e38])
     def test_rejects_overflow_of_127_scales(self, top):
         # 127 * (absmax / 127) rounds past the fp32 maximum: it would decode to Inf
         with pytest.raises(OverflowToInfinity):
-            codec.quantize_q8(TensorBuf.from_array([top, -1.0]), 4)
+            codec.quantize_q8(TensorBuf([top, -1.0]), 4)
 
     def test_largest_finite_decode_round_trips(self):
         x = np.array([3.4028233e38, -1.0], np.float32)
@@ -174,46 +174,51 @@ class TestDequantizeQ8:
         np.testing.assert_array_equal(codec.dequantize_q8(c).data, np.zeros(3))
 
     def test_malformed_scale_count(self):
-        c = codec.QuantizedChunk(
-            Scheme.Q8_BLOCKWISE, 8, 4, np.array([1.0], np.float32), bytes(8)
-        )
         with pytest.raises(MalformedChunk):
-            codec.dequantize_q8(c)
+            codec.QuantizedChunk(
+                Scheme.Q8_BLOCKWISE, 8, 4, np.array([1.0], np.float32), bytes(8)
+            )
 
     @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0, 2.6793887e36])
     def test_scale_out_of_range_is_malformed(self, scale):
         # 2.6793887e36 is the least scale whose code 127 decodes to Inf
-        c = codec.QuantizedChunk(
-            Scheme.Q8_BLOCKWISE, 2, 4, np.array([scale], np.float32), b"\x7f\x01"
-        )
         with pytest.raises(MalformedChunk):
-            codec.dequantize_q8(c)
+            codec.QuantizedChunk(
+                Scheme.Q8_BLOCKWISE, 2, 4, np.array([scale], np.float32), b"\x7f\x01"
+            )
 
     def test_malformed_payload_length(self):
-        c = codec.QuantizedChunk(
-            Scheme.Q8_BLOCKWISE, 8, 4, np.array([1.0, 1.0], np.float32), bytes(5)
-        )
         with pytest.raises(MalformedChunk):
-            codec.dequantize_q8(c)
+            codec.QuantizedChunk(
+                Scheme.Q8_BLOCKWISE, 8, 4, np.array([1.0, 1.0], np.float32), bytes(5)
+            )
+
+    def test_chunk_cannot_change_after_it_is_built(self):
+        scales, payload = np.array([1.0], np.float32), bytearray(b"\x7f\x01")
+        c = codec.QuantizedChunk(Scheme.Q8_BLOCKWISE, 2, 4, scales, payload)
+        with pytest.raises(ValueError, match="read-only"):
+            c.scales[0] = np.nan
+        payload[0] = 0
+        assert c.payload == b"\x7f\x01"
 
 
 class TestF16:
     def test_exact_one(self):
-        c = codec.encode_f16(TensorBuf.from_array([1.0]))
+        c = codec.encode_f16(TensorBuf([1.0]))
         assert codec.decode_f16(c).data[0] == 1.0
 
     def test_one_third_reference(self):
         # reference binary16 conversion of 1/3
-        c = codec.encode_f16(TensorBuf.from_array([1 / 3]))
+        c = codec.encode_f16(TensorBuf([1 / 3]))
         assert codec.decode_f16(c).data[0] == np.float32(0.333251953125)
 
     def test_max_finite_boundary(self):
-        c = codec.encode_f16(TensorBuf.from_array([65504.0]))
+        c = codec.encode_f16(TensorBuf([65504.0]))
         assert codec.decode_f16(c).data[0] == 65504.0
         with pytest.raises(OverflowToInfinity):
-            codec.encode_f16(TensorBuf.from_array([65505.0]))
+            codec.encode_f16(TensorBuf([65505.0]))
         with pytest.raises(OverflowToInfinity):
-            codec.encode_f16(TensorBuf.from_array([-65505.0]))
+            codec.encode_f16(TensorBuf([-65505.0]))
 
     def test_decode_exact_on_encoded(self):
         rng = np.random.default_rng(3)
@@ -252,7 +257,7 @@ class TestEncodedSize:
 
 class TestWireLayout:
     def test_header_fields(self):
-        t = TensorBuf.from_array(np.arange(5, dtype=np.float32))
+        t = TensorBuf(np.arange(5, dtype=np.float32))
         raw = codec.chunk_to_bytes(codec.quantize_q8(t, 4))
         assert raw[:4] == b"TQC1"
         scheme, n, block, count = struct.unpack_from("<B3xQII", raw, 4)
@@ -313,7 +318,7 @@ class TestErrorBound:
         # x / scale is just above 30.5, so x gets code 31, and decode's fp32
         # rounding of 31 * scale lands farther from x than half a scale.
         absmax, x = np.float32(2.6835622787475586), np.float32(0.6444775462150574)
-        c = codec.quantize_q8(TensorBuf.from_array([absmax, x]), block_size=2)
+        c = codec.quantize_q8(TensorBuf([absmax, x]), block_size=2)
         assert c.scales[0] == np.float32(0.021130410954356194)
         assert np.frombuffer(c.payload, np.int8).tolist() == [127, 31]
         err = abs(float(x) - float(codec.dequantize_q8(c).data[1]))

@@ -4,6 +4,7 @@
 import math
 import os
 import struct
+import tempfile
 import tracemalloc
 import zlib
 from dataclasses import replace
@@ -108,8 +109,8 @@ class TestSchedule:
 
 class TestAdam:
     def test_first_step_hand_arithmetic(self):
-        w = TensorBuf.from_array([0.0])
-        g = TensorBuf.from_array([1.0])
+        w = TensorBuf([0.0])
+        g = TensorBuf([1.0])
         cfg = OptimConfig.adam()
         st = init_state(1, cfg)
         new_w, new_st = adam_step(w, g, st, cfg, lr=0.1)
@@ -118,9 +119,9 @@ class TestAdam:
 
     def test_zero_gradient_no_move(self):
         cfg = OptimConfig.adam()
-        w = TensorBuf.from_array([1.0, -2.0, 3.0])
+        w = TensorBuf([1.0, -2.0, 3.0])
         st = init_state(3, cfg)
-        new_w, _ = adam_step(w, TensorBuf.from_array([0.0, 0.0, 0.0]), st, cfg, 0.1)
+        new_w, _ = adam_step(w, TensorBuf([0.0, 0.0, 0.0]), st, cfg, 0.1)
         np.testing.assert_array_equal(new_w.data, w.data)
 
     def test_converges_on_quadratic_vs_scalar_oracle(self):
@@ -148,15 +149,15 @@ class TestAdam:
         cfg = OptimConfig.adam()
         st = init_state(2, cfg)
         with pytest.raises(ShapeMismatch):
-            adam_step(TensorBuf.from_array([1.0, 2.0]),
-                      TensorBuf.from_array([1.0]), st, cfg, 0.1)
+            adam_step(TensorBuf([1.0, 2.0]),
+                      TensorBuf([1.0]), st, cfg, 0.1)
 
     def test_nonfinite_gradient(self):
         cfg = OptimConfig.adam()
         st = init_state(1, cfg)
         with pytest.raises(NonFiniteGradient):
-            adam_step(TensorBuf.from_array([0.0]),
-                      TensorBuf.from_array([np.nan]), st, cfg, 0.1)
+            adam_step(TensorBuf([0.0]),
+                      TensorBuf([np.nan]), st, cfg, 0.1)
 
     def test_deterministic(self):
         cfg = OptimConfig.adam(weight_decay=0.01)
@@ -180,7 +181,7 @@ class TestLamb:
     def test_single_scalar_hand_arithmetic(self):
         cfg = OptimConfig.lamb(beta1=0.0, beta2=0.0)
         st = init_state(1, cfg)
-        w, _ = lamb_step(TensorBuf.from_array([1.0]), TensorBuf.from_array([1.0]),
+        w, _ = lamb_step(TensorBuf([1.0]), TensorBuf([1.0]),
                          st, cfg, lr=0.1)
         assert w.data[0] == pytest.approx(0.9, abs=1e-6)
 
@@ -204,8 +205,8 @@ class TestLamb:
 
     def test_per_layer_ratios_differ(self):
         cfg = OptimConfig.lamb()
-        w = TensorBuf.from_array([10.0, 10.0, 0.01, 0.01])
-        g = TensorBuf.from_array([1.0, 1.0, 1.0, 1.0])
+        w = TensorBuf([10.0, 10.0, 0.01, 0.01])
+        g = TensorBuf([1.0, 1.0, 1.0, 1.0])
         layers = (("big", 0, 2), ("small", 2, 4))
         st = init_state(4, cfg)
         out, _ = lamb_step(w, g, st, cfg, 0.1, layers=layers)
@@ -464,10 +465,12 @@ class TestGroupedStep:
             finally:
                 tracemalloc.stop()
         assert peaks[8] < peaks[32]
-        # r, which becomes the new weights (4 bytes per parameter), the new
-        # 8-bit state (4 while its groups are joined) and one group's
-        # temporaries
-        assert peaks[8] < 11 * n + 12 * optim._GROUP * 4
+        # Per parameter: r, which becomes the new weights (4 bytes), and the
+        # joined m, v's group chunks and the joined v (1 byte each; m's group
+        # chunks are released before v is joined). Per element of a group:
+        # two work buffers and the decoded m and sqrt(v) (16 bytes), and 4
+        # more for the scales and the rest.
+        assert peaks[8] < 7 * n + 20 * optim._GROUP
 
     def test_packed_state_in_other_block_size_is_refused(self):
         cfg = OptimConfig.lamb(state_bits=8, block_size=64)
@@ -596,13 +599,32 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("bits", [32, 8])
     def test_state_of_another_length_is_malformed(self, tmp_path, version, bits):
+        """Built from parts, since ``save_checkpoint`` refuses such state."""
         cfg = OptimConfig.adam(state_bits=bits, block_size=4)
+        w = TensorBuf(np.ones(8, np.float32))
         path = tmp_path / "c.topt"
-        optim.save_checkpoint(path, cfg, init_state(7, cfg), TensorBuf(np.ones(8, np.float32)))
-        raw = path.read_bytes()
+        optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
+        parts = [path.read_bytes()[: optim._CKPT_HEADS[3].size]]
+        optim._write_chunk(parts, codec.encode_f32(w))
+        short = init_state(7, cfg)
+        for buf in (short.m, short.v):
+            optim._write_chunk(parts, buf if short.packed else codec.encode_f32(buf))
+        raw = _with_crc(b"".join(parts))
         path.write_bytes(_as_version(raw, version) if version < 3 else raw)
         with pytest.raises(MalformedChunk, match="of 7 elements"):
             optim.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bits", [32, 8])
+    def test_state_that_does_not_fit_the_weights_is_not_saved(self, tmp_path, bits):
+        cfg = OptimConfig.adam(state_bits=bits, block_size=4)
+        w = TensorBuf(np.ones(8, np.float32))
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
+        before = path.read_bytes()
+        with pytest.raises(ShapeMismatch):
+            optim.save_checkpoint(path, cfg, init_state(7, cfg), w)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["c.topt"]
 
     def test_state_in_another_scheme_is_malformed(self, tmp_path):
         cfg = OptimConfig.adam(state_bits=8)
@@ -629,6 +651,48 @@ class TestCheckpointFormat:
                 optim.save_checkpoint(path, cfg, st2, w2)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["c.topt"]
+
+
+@pytest.mark.parametrize("algo, bits, wd", CONFIGS)
+@settings(max_examples=25, deadline=None)
+@given(
+    n=hs.integers(0, 300),
+    block_size=hs.sampled_from([1, 3, 64, 4096]),
+    before=hs.integers(1, 3),
+    after=hs.integers(1, 3),
+    cuts=hs.lists(hs.integers(0, 300), max_size=3),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_resumed_run_matches_uninterrupted_run(
+    algo, bits, wd, n, block_size, before, after, cuts, seed
+):
+    """save -> load -> k more steps gives the bytes of k uninterrupted steps.
+    The schedule and the layer partition are the caller's and are passed in
+    on both paths."""
+    cfg = getattr(OptimConfig, algo)(state_bits=bits, block_size=block_size, weight_decay=wd)
+    sched = ScheduleConfig(total_steps=before + after, warmup_fraction=0.5, peak_lr=0.01)
+    edges = sorted({0, n, *(min(c, n) for c in cuts)})
+    layers = tuple((f"l{i}", a, b) for i, (a, b) in enumerate(zip(edges, edges[1:])))
+    rng = np.random.default_rng(seed)
+    w0 = TensorBuf(rng.standard_normal(n).astype(np.float32))
+    grads = [TensorBuf(rng.standard_normal(n).astype(np.float32)) for _ in range(before + after)]
+
+    def run(w, st, cfg, k):
+        for _ in range(k):
+            lr = lr_at(st.step, sched)
+            w, st = optim.optimizer_step(w, grads[st.step], st, cfg, lr, layers)
+        return w, st
+
+    w, st = run(w0, init_state(n, cfg), cfg, before)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "c.topt")
+        optim.save_checkpoint(path, cfg, st, w)
+        cfg2, st2, w2 = optim.load_checkpoint(path)
+    assert cfg2 == cfg
+    w, st = run(w, st, cfg, after)
+    w2, st2 = run(w2, st2, cfg2, after)
+    assert w2.data.tobytes() == w.data.tobytes()
+    assert _same_state(st2, st)
 
 
 @pytest.fixture(scope="module")
