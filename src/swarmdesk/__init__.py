@@ -4,7 +4,8 @@
 their wire format. ``optim``: Adam and LAMB with a warmup/decay schedule,
 optimizer state kept in fp32 or 8 bits, and a resumable checkpoint.
 ``tasks``: closed-form training tasks with analytic gradients that stand in
-for the model. ``errors``: the exception types.
+for the model. ``errors``: the exception types, and the coercions that
+the range checks of settings use.
 """
 
 __version__ = "0.1.0"

@@ -12,8 +12,8 @@ Two working schemes plus a raw passthrough:
   division; encoding divides in fp32 and divides again in float64 only the
   rare elements whose fp32 quotient is exactly a half-integer, which gives
   the same bytes. Blocks are independent, so encoding walks the tensor in
-  cache-sized groups of whole blocks: its transient memory is the payload,
-  its bytes copy and one group's two fp32 work buffers, whatever the size.
+  cache-sized groups of whole blocks: its transient memory is the payload
+  and one group's two fp32 work buffers, whatever the size.
 * ``F16`` — IEEE binary16 with round-to-nearest-even. Values above the
   largest finite half-precision magnitude (65504) are rejected outright
   rather than saturated.
@@ -27,7 +27,9 @@ encoded bytes are identical across runs and platforms.
 Two value types carry the data. A ``TensorBuf`` is a flat fp32 vector. A
 ``QuantizedChunk`` is one encoded tensor; it is checked once, when it is
 built (from an encoder, from wire bytes or by hand), and cannot change
-afterwards, so decoders and the wire writer take it as valid.
+afterwards, so decoders and the wire writer take it as valid. Its payload is
+``bytes`` or a read-only byte view of memory that nothing writes any more,
+such as the codes an encoder wrote or the wire bytes it was read from.
 
 Wire layout (little-endian), the unit an encoded tensor travels in:
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MalformedChunk, NonFiniteInput, OverflowToInfinity
+from .errors import ConfigError, MalformedChunk, NonFiniteInput, OverflowToInfinity, as_int
 
 MAGIC = b"TQC1"
 _HEADER = struct.Struct("<4sB3xQII")
@@ -99,16 +101,19 @@ class QuantizedChunk:
 
     The constructor checks that the fields fit together and raises
     ``MalformedChunk`` when they do not. It keeps ``scales`` as a read-only
-    fp32 view, not a copy, so whoever built the array must not write it
-    afterwards, and ``payload`` as ``bytes`` (any other buffer is copied
-    once). A chunk that was built stays valid and no use checks it again.
+    fp32 view, not a copy. ``payload`` stays ``bytes`` when it is ``bytes``;
+    a read-only, C-contiguous buffer (a read-only array, a view of bytes) is
+    kept as a ``memoryview`` of format ``"B"``, not a copy, and anything
+    else (a ``bytearray``, a writable array) is copied once into ``bytes``.
+    Whoever built a kept array or buffer must not write it afterwards. A
+    chunk that was built stays valid and no use checks it again.
     """
 
     scheme: Scheme
     num_elements: int
     block_size: int
     scales: np.ndarray
-    payload: bytes
+    payload: bytes | memoryview
 
     def __post_init__(self):
         try:
@@ -119,7 +124,10 @@ class QuantizedChunk:
         scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
         if not isinstance(self.payload, bytes):
-            object.__setattr__(self, "payload", bytes(self.payload))
+            view = memoryview(self.payload)
+            # format "B", so that it equals bytes with the same content
+            payload = view.cast("B") if view.readonly and view.c_contiguous else bytes(view)
+            object.__setattr__(self, "payload", payload)
         n = self.num_elements
         if n < 0:
             raise MalformedChunk("negative element count")
@@ -159,10 +167,10 @@ class CodecPolicy:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.q8_threshold >= 1:
-            raise ConfigError("q8_threshold must be >= 1")
-        if not self.block_size >= 1:
-            raise ConfigError("block_size must be >= 1")
+        if not as_int(self.q8_threshold) >= 1:
+            raise ConfigError("q8_threshold must be an integer >= 1")
+        if not as_int(self.block_size) >= 1:
+            raise ConfigError("block_size must be an integer >= 1")
 
 
 def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
@@ -181,12 +189,20 @@ _GROUP = 1 << 16
 _SMALLEST_NORMAL = np.finfo(np.float32).tiny
 
 
-def _quantize_blocks(x, scales, codes, quot, rounded) -> None:
-    """Quantize the rows of ``x`` (one block each) into ``scales`` and ``codes``.
-
-    ``quot`` and ``rounded`` are fp32 work buffers of at least x.size.
+def _quantize_into(x, block_size, scales, codes, quot, rounded) -> None:
+    """Quantize the fp32 vector ``x`` into ``scales`` and ``codes``, arrays
+    the caller owns and sized for it. ``x`` is not empty: whole blocks and
+    at most one partial last block. ``quot`` and ``rounded`` are fp32 work
+    buffers of at least x.size elements.
     """
-    quot = quot[: x.size].reshape(x.shape)
+    n = x.size
+    full = n - n % block_size
+    if 0 < full < n:  # the whole blocks, then the partial last block
+        _quantize_into(x[:full], block_size, scales[:-1], codes[:full], quot, rounded)
+        _quantize_into(x[full:], block_size, scales[-1:], codes[full:], quot, rounded)
+        return
+    x = x.reshape(-1, min(n, block_size))  # one block per row
+    quot, rounded = quot[:n].reshape(x.shape), rounded[:n].reshape(x.shape)
     np.abs(x, out=quot)
     np.maximum.reduce(quot, axis=1, out=scales)
     np.divide(scales, np.float32(127), out=scales)
@@ -206,7 +222,6 @@ def _quantize_blocks(x, scales, codes, quot, rounded) -> None:
         # only a subnormal scale lets |x / scale| pass 127 * (1 + 2**-23)
         np.minimum(quot, 127, out=quot)
         np.maximum(quot, -127, out=quot)
-    rounded = rounded[: x.size].reshape(x.shape)
     np.rint(quot, out=rounded)
     # Division rounds monotonically and fp32 holds every half-integer, so
     # the fp32 and float64 quotients fall on the same side of each one, and
@@ -219,7 +234,7 @@ def _quantize_blocks(x, scales, codes, quot, rounded) -> None:
         rounded[rows, cols] = np.rint(
             x[rows, cols].astype(np.float64) / divisor[rows].astype(np.float64)
         )
-    np.copyto(codes, rounded, casting="unsafe")
+    np.copyto(codes, rounded.reshape(-1), casting="unsafe")
 
 
 def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> QuantizedChunk:
@@ -234,53 +249,54 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
     raises ``OverflowToInfinity``, since it would decode to Inf.
 
     The tensor is encoded in groups of whole blocks, about ``_GROUP``
-    elements each, and the partial last block on its own. Besides the
+    elements each; the last group ends with the partial block. Besides the
     payload and scales, it allocates 8 bytes of work buffer per element of
-    one group, so its transient memory is the payload, its bytes copy and
-    a fixed amount.
+    one group, so its transient memory is the payload and a fixed amount.
+    The chunk keeps the codes array as its payload, read-only.
     """
-    if block_size < 1:
-        raise MalformedChunk("block_size must be >= 1")
+    if not as_int(block_size) >= 1:
+        raise MalformedChunk("block_size must be an integer >= 1")
     x, n = t.data, t.num_elements
     scales = np.empty(-(-n // block_size), np.float32)
     codes = np.empty(n, np.int8)
     group = max(1, _GROUP // block_size) * block_size
     quot, rounded = np.empty((2, min(n, group)), np.float32)
-    full = n - n % block_size
-    for start in range(0, full, group):
-        stop = min(start + group, full)
-        _quantize_blocks(
-            x[start:stop].reshape(-1, block_size),
-            scales[start // block_size : stop // block_size],
-            codes[start:stop].reshape(-1, block_size),
-            quot,
-            rounded,
-        )
-    if full < n:
-        _quantize_blocks(
-            x[full:].reshape(1, -1), scales[-1:], codes[full:].reshape(1, -1), quot, rounded
-        )
-    return QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, scales, codes.tobytes())
+    for start in range(0, n, group):
+        stop = min(start + group, n)
+        blocks = slice(start // block_size, -(-stop // block_size))
+        _quantize_into(x[start:stop], block_size, scales[blocks], codes[start:stop], quot, rounded)
+    codes.flags.writeable = False
+    return QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, scales, codes)
 
 
 def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
     """Decode a Q8 chunk: x_i = code_i * scale of its block, in fp32.
 
-    The codes are cast to fp32, which holds every one exactly, and that
-    buffer is scaled in place: the full blocks by one broadcast multiply,
-    the partial last block by a second. The output is the only tensor-sized
-    allocation.
+    The output is the only tensor-sized allocation.
     """
     if c.scheme != Scheme.Q8_BLOCKWISE:
         raise MalformedChunk(f"dequantize_q8 got scheme {c.scheme!r}")
-    n, bs = c.num_elements, c.block_size
-    out = np.frombuffer(c.payload, dtype=np.int8).astype(np.float32)
-    full = n - n % bs
-    blocks = out[:full].reshape(-1, bs)
-    np.multiply(blocks, c.scales[: full // bs, None], out=blocks)
-    if full < n:
-        np.multiply(out[full:], c.scales[-1:], out=out[full:])
+    out = np.empty(c.num_elements, np.float32)
+    _dequantize_into(c, 0, c.num_elements, out)
     return TensorBuf(out)
+
+
+def _dequantize_into(c: QuantizedChunk, start: int, stop: int, out: np.ndarray) -> None:
+    """Decode elements [start, stop) of a Q8 chunk into the fp32 ``out``.
+
+    ``start`` is on a block boundary. The codes are read in place from the
+    payload and cast into ``out``, which holds every one exactly, and
+    ``out`` is scaled in place: its full blocks by one broadcast multiply,
+    a partial last block by a second.
+    """
+    bs, count = c.block_size, stop - start
+    scales = c.scales[start // bs : -(-stop // bs)]
+    np.copyto(out, np.frombuffer(c.payload, np.int8, count, start))
+    full = count - count % bs
+    blocks = out[:full].reshape(-1, bs)
+    np.multiply(blocks, scales[: full // bs, None], out=blocks)
+    if full < count:
+        np.multiply(out[full:], scales[-1:], out=out[full:])
 
 
 def _encode_float(t: TensorBuf, scheme: Scheme) -> QuantizedChunk:
@@ -337,21 +353,29 @@ def decode(c: QuantizedChunk) -> TensorBuf:
 
 def encoded_size(scheme: Scheme, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     """Wire size in bytes of an n-element chunk, header included."""
-    if n < 0:
-        raise MalformedChunk("element count must be >= 0")
+    if not as_int(n) >= 0:
+        raise MalformedChunk("element count must be an integer >= 0")
     if scheme == Scheme.Q8_BLOCKWISE:
+        if not as_int(block_size) >= 1:
+            raise MalformedChunk("block_size must be an integer >= 1")
         return HEADER_BYTES + n + 4 * (-(-n // block_size))
     if scheme in _FLOAT_DTYPES:
         return HEADER_BYTES + _FLOAT_DTYPES[scheme].itemsize * n
     raise MalformedChunk(f"unknown scheme {scheme!r}")
 
 
-def chunk_to_bytes(c: QuantizedChunk) -> bytes:
+def chunk_header(c: QuantizedChunk) -> bytes:
+    """A chunk's wire bytes before its payload: the header and the scales."""
     head = _HEADER.pack(MAGIC, int(c.scheme), c.num_elements, c.block_size, c.scales.size)
-    return head + c.scales.astype("<f4").tobytes() + c.payload
+    return head + c.scales.astype("<f4").tobytes()
+
+
+def chunk_to_bytes(c: QuantizedChunk) -> bytes:
+    return b"".join((chunk_header(c), c.payload))
 
 
 def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
+    """The chunk in ``raw``; its payload is a view of ``raw``, not a copy."""
     if len(raw) < HEADER_BYTES:
         raise MalformedChunk(f"chunk shorter than header: {len(raw)} bytes")
     magic, scheme, n, block_size, scale_count = _HEADER.unpack_from(raw)
@@ -361,7 +385,7 @@ def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
     if len(raw) < off:
         raise MalformedChunk("truncated scales")
     scales = np.frombuffer(raw[HEADER_BYTES:off], dtype="<f4")
-    return QuantizedChunk(scheme, n, block_size, scales, raw[off:])
+    return QuantizedChunk(scheme, n, block_size, scales, memoryview(raw)[off:])
 
 
 # roundtrip_error_bound per unit of scale: half a scale from rounding to a

@@ -1,8 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the two coercions that
+range checks of settings use.
 
 Every error the package raises is a subclass of SwarmError, so callers can
 catch one base type at process boundaries.
 """
+
+import math
+import numbers
 
 
 class SwarmError(Exception):
@@ -41,3 +45,18 @@ class StepOutOfRange(SwarmError):
 
 class ConfigError(SwarmError):
     """A component configuration violates its invariants."""
+
+
+# A setting is checked as ``if not lo <= as_int(x): raise ...``: a value of
+# the wrong type (None, a string, 2.5 where a count belongs) becomes NaN,
+# which fails the comparison, instead of raising TypeError.
+
+
+def as_int(value):
+    """``value`` if it is an integer (Python or numpy), else NaN."""
+    return value if isinstance(value, numbers.Integral) else math.nan
+
+
+def as_real(value):
+    """``value`` if it is a real number (Python or numpy), else NaN."""
+    return value if isinstance(value, numbers.Real) else math.nan

@@ -8,20 +8,21 @@ non-negative quantity otherwise) and squared again on decode, which also
 keeps it non-negative by construction.
 
 Adam and LAMB share one update formula. A step computes the direction
-r = mhat / (sqrt(vhat) + eps) + wd * w and then writes the new weights
-w - (lr * ratio) * r over r in place, layer by layer. LAMB's ratio is each
-layer's clamped trust ratio ||w|| / ||r||; Adam is one layer with ratio 1.
-A named-layer partition must tile the parameter vector in order; with none,
-the whole vector is one layer.
+r = mhat / (sqrt(vhat) + eps) + wd * w and writes the new weights
+w - (lr * ratio) * r over r in place as soon as the ratio is known. LAMB's
+ratio is each layer's clamped trust ratio ||w|| / ||r||, known once the
+layer's r is whole; Adam's is 1. A named-layer partition must tile the
+parameter vector in order; with none, the whole vector is one layer.
 
 The moment math runs over the vector in groups of whole state blocks
-(``_GROUP`` elements, rounded to blocks): decode the group's m and sqrt(v),
-update them, encode them again, and write the group's slice of r. 8-bit
-state is therefore never decoded whole. Beyond one group's temporaries,
-including two fp32 work buffers that every group reuses, a step's transient
-memory is r, which becomes the new weights, and the new state: at most 1.75x
-the parameter bytes with 8-bit state (while v's group chunks are joined)
-and 3x with fp32 state. Packed state must use the config's ``block_size``.
+(``_GROUP`` elements, rounded to blocks): decode the group's m and sqrt(v)
+in place from the old payloads, update them, encode them into the group's
+slices of the new payloads, and write the group's slice of r. 8-bit state
+is therefore never decoded whole, and a step builds two chunks whatever the
+size. Beyond four group-sized fp32 buffers that every group reuses, a
+step's transient memory is r, which becomes the new weights, and the new
+state: 1.5x the parameter bytes with 8-bit state and 3x with fp32 state.
+Packed state must use the config's ``block_size``.
 
 Checkpoint file (version 3): magic "TOPT", a fixed config block (version,
 algorithm, state bits, step, betas, epsilon, weight decay, trust clip,
@@ -45,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import codec
-from .codec import DEFAULT_BLOCK_SIZE, QuantizedChunk, TensorBuf
+from .codec import DEFAULT_BLOCK_SIZE, QuantizedChunk, Scheme, TensorBuf
 from .errors import (
     ChecksumMismatch,
     ConfigError,
@@ -53,6 +54,8 @@ from .errors import (
     NonFiniteGradient,
     ShapeMismatch,
     StepOutOfRange,
+    as_int,
+    as_real,
 )
 
 
@@ -72,13 +75,13 @@ class ScheduleConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not self.total_steps >= 1:
-            raise ConfigError("total_steps must be >= 1")
-        if not 0.0 <= self.warmup_fraction <= 1.0:
+        if not as_int(self.total_steps) >= 1:
+            raise ConfigError("total_steps must be an integer >= 1")
+        if not 0.0 <= as_real(self.warmup_fraction) <= 1.0:
             raise ConfigError("warmup_fraction must be in [0, 1]")
-        if not 0.0 < self.peak_lr < math.inf:
+        if not 0.0 < as_real(self.peak_lr) < math.inf:
             raise ConfigError("peak_lr must be finite and > 0")
-        if not 0.0 <= self.end_lr < math.inf:
+        if not 0.0 <= as_real(self.end_lr) < math.inf:
             raise ConfigError("end_lr must be finite and >= 0")
 
     @property
@@ -116,18 +119,19 @@ class OptimConfig:
         except ValueError:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}") from None
         # each check is written so that NaN fails it
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+        if not (0.0 <= as_real(self.beta1) < 1.0 and 0.0 <= as_real(self.beta2) < 1.0):
             raise ConfigError("betas must be in [0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
+        if not 0.0 < as_real(self.epsilon) < math.inf:
             raise ConfigError("epsilon must be finite and > 0")
-        if not 0.0 <= self.weight_decay < math.inf:
+        if not 0.0 <= as_real(self.weight_decay) < math.inf:
             raise ConfigError("weight_decay must be finite and >= 0")
-        if not self.trust_clip[0] <= self.trust_clip[1]:
-            raise ConfigError("trust_clip min must be <= max")
-        if self.state_bits not in (32, 8):
+        clip = self.trust_clip if isinstance(self.trust_clip, (tuple, list)) else ()
+        if not (len(clip) == 2 and as_real(clip[0]) <= as_real(clip[1])):
+            raise ConfigError("trust_clip must be a pair (min, max) with min <= max")
+        if as_int(self.state_bits) not in (32, 8):
             raise ConfigError("state_bits must be 32 or 8")
-        if not self.block_size >= 1:
-            raise ConfigError("block_size must be >= 1")
+        if not as_int(self.block_size) >= 1:
+            raise ConfigError("block_size must be an integer >= 1")
 
     @classmethod
     def adam(cls, **kw) -> "OptimConfig":
@@ -157,9 +161,20 @@ class OptimState:
 
 
 def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
-    zeros = TensorBuf(np.zeros(num_params, np.float32))
-    st = OptimState(m=zeros, v=zeros, step=0)
-    return pack_state(st, cfg.state_bits, cfg.block_size)
+    """Zero moments for ``num_params`` parameters, in the config's encoding.
+
+    Zero 8-bit state is built directly, all scales 0 and all codes 0, which
+    is what quantizing zeros gives; m and v share the one read-only chunk.
+    """
+    if not as_int(num_params) >= 0:
+        raise ConfigError("num_params must be an integer >= 0")
+    if cfg.state_bits == 8:
+        n, bs = num_params, cfg.block_size
+        scales = np.zeros(-(-n // bs), np.float32)
+        zeros = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, bs, scales, bytes(n))
+    else:
+        zeros = TensorBuf(np.zeros(num_params, np.float32))
+    return OptimState(m=zeros, v=zeros, step=0)
 
 
 def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_SIZE) -> OptimState:
@@ -171,13 +186,9 @@ def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_
     if st.packed:
         _require_block_size(st, block_size)
         return st
-    m, v = st.m, st.v
-    v_root = TensorBuf(np.sqrt(np.maximum(v.data, np.float32(0.0))))
-    return replace(
-        st,
-        m=codec.quantize_q8(m, block_size),
-        v=codec.quantize_q8(v_root, block_size),
-    )
+    v_root = TensorBuf(np.sqrt(np.maximum(st.v.data, np.float32(0.0))))
+    m, v = codec.quantize_q8(st.m, block_size), codec.quantize_q8(v_root, block_size)
+    return replace(st, m=m, v=v)
 
 
 def _require_block_size(st: OptimState, block_size: int):
@@ -200,143 +211,104 @@ def unpack_state(st: OptimState) -> OptimState:
 
 def state_nbytes(st: OptimState) -> int:
     """Raw bytes the two moment buffers occupy in their current encoding."""
-    def one(buf):
-        if isinstance(buf, QuantizedChunk):
-            return len(buf.payload) + 4 * buf.scales.size
-        return 4 * buf.num_elements
-    return one(st.m) + one(st.v)
+    if st.packed:
+        return sum(len(c.payload) + 4 * c.scales.size for c in (st.m, st.v))
+    return 8 * st.num_elements
 
 
 def _require_state_fits(st: OptimState, w: TensorBuf):
     if st.num_elements != w.num_elements:
-        raise ShapeMismatch(
-            f"optimizer state sized {st.num_elements}, weights {w.num_elements}"
-        )
+        raise ShapeMismatch(f"optimizer state sized {st.num_elements}, weights {w.num_elements}")
 
 
 def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
     if w.num_elements != g.num_elements:
-        raise ShapeMismatch(
-            f"weights have {w.num_elements} elements, gradient {g.num_elements}"
-        )
+        raise ShapeMismatch(f"weights have {w.num_elements} elements, gradient {g.num_elements}")
     _require_state_fits(st, w)
     if g.data.size and not np.isfinite(g.data).all():
         raise NonFiniteGradient("gradient contains NaN or Inf")
 
 
 # Elements per group of the optimizer step, rounded to whole state blocks.
-# A group's slices of w, g and the target, its decoded m and sqrt(v) and the
-# two work buffers are seven fp32 arrays, 1.75 MiB at 2**16; on a machine
-# with a 2 MiB L2 cache 2**15 to 2**17 ran the 8-bit LAMB step equally fast,
-# and 2**16 makes half as many codec calls as 2**15.
+# A group's slices of w, g and r, its m and sqrt(v) buffers and the two work
+# buffers are seven fp32 arrays, 1.75 MiB at 2**16; on a machine with a
+# 2 MiB L2 cache 2**15 to 2**17 ran the 8-bit LAMB step equally fast, and
+# 2**16 makes half as many encoder calls as 2**15.
 _GROUP = 1 << 16
 
 
-def _blocks_of(c: QuantizedChunk, start: int, stop: int) -> QuantizedChunk:
-    """Elements [start, stop) of a Q8 chunk; ``start`` is on a block boundary."""
-    if start == 0 and stop == c.num_elements:
-        return c
-    bs = c.block_size
-    return QuantizedChunk(
-        c.scheme, stop - start, bs, c.scales[start // bs : -(-stop // bs)], c.payload[start:stop]
-    )
-
-
-def _joined(parts: list[QuantizedChunk], n: int, block_size: int) -> QuantizedChunk:
-    """One Q8 chunk of n elements from the chunks of consecutive groups."""
-    if len(parts) == 1:
-        return parts[0]
-    return QuantizedChunk(
-        codec.Scheme.Q8_BLOCKWISE,
-        n,
-        block_size,
-        np.concatenate([p.scales for p in parts]),
-        b"".join([p.payload for p in parts]),
-    )
+def _partition(layers, n: int) -> list[tuple[int, int]]:
+    """The (start, stop) of each layer. A layer's slice of r is overwritten
+    with its new weights, so no later layer may read it again: the layers
+    must tile [0, n) in order."""
+    bounds, end = [], 0
+    for _name, start, stop in layers or (("all", 0, n),):
+        bounds.append((start, stop))
+        # once a layer does not continue the partition, end stays NaN
+        end = stop if end == start <= stop <= n else math.nan
+    if end != n:
+        raise ShapeMismatch(f"layers {bounds} do not tile [0, {n}) in order")
+    return bounds
 
 
 def _grouped_step(w, g, st, cfg, lr, layers, clip):
     """LAMB, or Adam when ``clip`` is None, one group of whole state blocks
     at a time.
 
-    ``_update_groups`` runs the moment recurrence group by group and writes
-    the direction r = mhat / (sqrt(vhat) + eps) + wd * w into one full
-    buffer. The new weights w - (lr * ratio) * r are then written over r in
-    place, layer by layer. LAMB takes each layer's ratio from the norms of
-    its w and r slices; Adam is one layer with ratio 1. Every value comes
+    Per group: read m and sqrt(v) (decode the group's blocks of 8-bit state
+    into two reused group buffers, or slice fp32 state), update them in
+    fp32, write the group's slice of the direction
+    r = mhat / (sqrt(vhat) + eps) + wd * w, and write the group's new state
+    (for 8-bit state, encode it into its slices of the new codes and scales,
+    with the two work buffers as the encoder's scratch). The new weights
+    w - (lr * ratio) * r are written over r in place as soon as the ratio
+    is known: Adam's is 1, so each group's slice right after the group;
+    LAMB takes each layer's ratio from the norms of its w and r slices, so
+    each layer once the groups have written all of its r. Every value comes
     from the same fp32 operations in the same order as on whole vectors, so
     the result does not depend on the group size.
 
-    Transient memory beyond a group's temporaries, per element: 4 bytes for
-    r, which becomes the new weights, and the new state (fp32: 8 bytes;
-    8-bit: 3 bytes while v's group chunks are joined, then 2).
+    Every operation writes with ``out=`` into memory the step owns: four
+    group-sized buffers, r and the new state, whose codes and scales are
+    allocated once and become the new chunks at the end. ``w``, ``g`` and
+    the old state are only read. Transient memory beyond the group buffers,
+    per element: 4 bytes for r, which becomes the new weights, and the new
+    state (fp32: 8 bytes; 8-bit: 2).
     """
     _check_inputs(w, g, st)
     _require_block_size(st, cfg.block_size)
-    n, lr32 = w.num_elements, np.float32(lr)
-    r = np.empty(n, np.float32)
-    new = _update_groups(w.data, g.data, st, cfg, r)
-    end = 0
-    for _name, start, stop in layers or (("all", 0, n),):
-        # A layer's slice of r is overwritten with its new weights, so a
-        # later layer must not read it again: the layers tile [0, n) in order.
-        if not end == start <= stop <= n:
-            raise ShapeMismatch(
-                f"layer [{start}, {stop}) does not continue the partition at {end} of {n}"
-            )
-        wl, rl = w.data[start:stop], r[start:stop]
-        ratio = 1.0 if clip is None else trust_ratio(
-            float(np.linalg.norm(wl)), float(np.linalg.norm(rl)), clip
-        )
-        np.multiply(lr32 * np.float32(ratio), rl, out=rl)
-        np.subtract(wl, rl, out=rl)
-        end = stop
-    if end != n:
-        raise ShapeMismatch(f"layers cover [0, {end}) of {n} parameters")
-    return TensorBuf(r), new
-
-
-def _update_groups(w, g, st, cfg, r) -> OptimState:
-    """Run the moment recurrence group by group; return the new state.
-
-    Per group: read m and sqrt(v) (decode the group's blocks of 8-bit state,
-    or slice fp32 state), update them in fp32, write the group's new state
-    (encode it for 8-bit state) and its slice of the direction ``r``.
-
-    Every operation writes with ``out=`` into memory the step owns: two
-    group-sized work buffers, the m and sqrt(v) buffers a decode returned,
-    and the new fp32 state. ``w``, ``g`` and the old state are only read.
-    """
-    n, bs = w.size, cfg.block_size
+    w, g, n, bs = w.data, g.data, w.num_elements, cfg.block_size
     b1, b2 = np.float32(cfg.beta1), np.float32(cfg.beta2)
-    one = np.float32(1.0)
+    one, lr32 = np.float32(1.0), np.float32(lr)
     step = st.step + 1
     c1, c2 = one - b1 ** np.float32(step), one - b2 ** np.float32(step)
     eps, wd = np.float32(cfg.epsilon), np.float32(cfg.weight_decay)
     out8 = cfg.state_bits == 8
+    group = max(1, _GROUP // bs) * bs
+    # The slices of r that take one ratio each and whose new weights are not
+    # written yet, the next one last: LAMB's layers, or Adam's groups.
+    if clip is None:
+        todo = [(start, min(start + group, n)) for start in range(0, n, group)][::-1]
+    else:
+        todo = _partition(layers, n)[::-1]
+    work = np.empty((4, min(n, group)), np.float32)
+    r = np.empty(n, np.float32)
     if out8:
-        m_parts, v_parts = [], []
+        m_codes, v_codes = np.empty(n, np.int8), np.empty(n, np.int8)
+        m_scales, v_scales = np.empty(-(-n // bs), np.float32), np.empty(-(-n // bs), np.float32)
     else:
         new_m, new_v = np.empty(n, np.float32), np.empty(n, np.float32)
-    group = max(1, _GROUP // bs) * bs
-    work1, work2 = np.empty((2, min(n, group)), np.float32)
-    # an empty vector still runs one (empty) group, so its state is encoded
-    for start in range(0, max(n, 1), group):
+    for start in range(0, n, group):
         stop = min(start + group, n)
         gg, ww = g[start:stop], w[start:stop]
-        t1, t2 = work1[: stop - start], work2[: stop - start]
+        t1, t2, m_buf, v_buf = work[:, : stop - start]
         if st.packed:
-            m_old = codec.dequantize_q8(_blocks_of(st.m, start, stop)).data
-            v_old = codec.dequantize_q8(_blocks_of(st.v, start, stop)).data
-            np.multiply(v_old, v_old, out=v_old)
+            codec._dequantize_into(st.m, start, stop, m_buf)
+            codec._dequantize_into(st.v, start, stop, v_buf)
+            m_old, v_old = m_buf, np.multiply(v_buf, v_buf, out=v_buf)
         else:
             m_old, v_old = st.m.data[start:stop], st.v.data[start:stop]
-        if not out8:
-            m, v = new_m[start:stop], new_v[start:stop]
-        elif st.packed:
-            m, v = m_old, v_old
-        else:
-            m, v = np.empty_like(m_old), np.empty_like(v_old)
+        m, v = (m_buf, v_buf) if out8 else (new_m[start:stop], new_v[start:stop])
         # m = b1 * m_old + (1 - b1) * g
         np.multiply(b1, m_old, out=m)
         np.add(m, np.multiply(one - b1, gg, out=t1), out=m)
@@ -350,15 +322,25 @@ def _update_groups(w, g, st, cfg, r) -> OptimState:
         np.add(np.sqrt(vhat, out=t2), eps, out=t2)
         direction = np.divide(mhat, t2, out=t1)
         np.add(direction, np.multiply(wd, ww, out=t2), out=r[start:stop])
+        while todo and todo[-1][1] <= stop:
+            a, b = todo.pop()
+            ratio = 1.0 if clip is None else trust_ratio(
+                float(np.linalg.norm(w[a:b])), float(np.linalg.norm(r[a:b])), clip
+            )
+            np.multiply(lr32 * np.float32(ratio), r[a:b], out=r[a:b])
+            np.subtract(w[a:b], r[a:b], out=r[a:b])
         if out8:
             v_root = np.sqrt(np.maximum(v, np.float32(0.0), out=v), out=v)
-            m_parts.append(codec.quantize_q8(TensorBuf(m), bs))
-            v_parts.append(codec.quantize_q8(TensorBuf(v_root), bs))
+            blocks = slice(start // bs, -(-stop // bs))
+            codec._quantize_into(m, bs, m_scales[blocks], m_codes[start:stop], t1, t2)
+            codec._quantize_into(v_root, bs, v_scales[blocks], v_codes[start:stop], t1, t2)
     if out8:
-        m_joined = _joined(m_parts, n, bs)
-        m_parts.clear()  # the groups' m chunks go before v's are joined
-        return replace(st, m=m_joined, v=_joined(v_parts, n, bs), step=step)
-    return replace(st, m=TensorBuf(new_m), v=TensorBuf(new_v), step=step)
+        m_codes.flags.writeable = v_codes.flags.writeable = False
+        new_m = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, bs, m_scales, m_codes)
+        new_v = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, bs, v_scales, v_codes)
+    else:
+        new_m, new_v = TensorBuf(new_m), TensorBuf(new_v)
+    return TensorBuf(r), replace(st, m=new_m, v=new_v, step=step)
 
 
 def adam_step(
@@ -420,14 +402,25 @@ _CKPT_HEADS = {
 }
 
 
+def _raw_chunk(t: TensorBuf) -> QuantizedChunk:
+    """An F32_RAW chunk of ``t`` that views its data instead of copying it,
+    for writing it out at once; NaN and Inf are refused."""
+    t.require_finite()
+    data = memoryview(t.data.astype("<f4", copy=False)).toreadonly()
+    return QuantizedChunk(Scheme.F32_RAW, t.num_elements, 0, np.zeros(0, np.float32), data)
+
+
 def _write_chunk(parts: list, chunk: QuantizedChunk):
-    raw = codec.chunk_to_bytes(chunk)
-    parts.append(struct.pack("<I", len(raw)))
-    parts.append(raw)
+    """Append the chunk's length prefix, its header with the scales and its
+    payload to ``parts``, without joining them."""
+    top = codec.chunk_header(chunk)
+    parts += [struct.pack("<I", len(top) + len(chunk.payload)), top, chunk.payload]
 
 
 def _read_chunk(buf: bytes, off: int, end: int):
-    """The length-prefixed chunk at ``off``; it must end by ``end``."""
+    """The length-prefixed chunk at ``off``; it must end by ``end``. Its
+    payload views a slice of ``buf``: a copy of its own bytes when ``buf``
+    is ``bytes``, the memory of ``buf`` itself when it is a memoryview."""
     start = off + 4
     stop = start + int.from_bytes(buf[off:start], "little")
     if stop > end:
@@ -445,25 +438,29 @@ def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
     beside ``path`` under a ``.tmp`` suffix, flushed to disk and then
     renamed over ``path``, so a crash while saving leaves the previous
     checkpoint whole.
+
+    Each part is written as it is, from the chunks' scales and payloads and
+    the weights' own array, and the CRC-32 is carried along as they go.
     """
     _require_state_fits(st, w)
     packed = pack_state(st, cfg.state_bits, cfg.block_size)
-    parts = [
-        _CKPT_HEADS[CKPT_VERSION].pack(
-            CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, packed.step,
-            cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
-            cfg.trust_clip[0], cfg.trust_clip[1], cfg.block_size,
-        )
-    ]
-    _write_chunk(parts, codec.encode_f32(w))
-    for buf in (packed.m, packed.v):
-        _write_chunk(parts, buf if packed.packed else codec.encode_f32(buf))
-    body = b"".join(parts)
+    head = _CKPT_HEADS[CKPT_VERSION].pack(
+        CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, packed.step,
+        cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
+        cfg.trust_clip[0], cfg.trust_clip[1], cfg.block_size,
+    )
+    moments = (packed.m, packed.v) if packed.packed else map(_raw_chunk, (packed.m, packed.v))
+    parts = [head]
+    for c in (_raw_chunk(w), *moments):
+        _write_chunk(parts, c)
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(body)
-            f.write(struct.pack("<I", zlib.crc32(body)))
+            crc = 0
+            for part in parts:
+                f.write(part)
+                crc = zlib.crc32(part, crc)
+            f.write(struct.pack("<I", crc))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -501,7 +498,9 @@ def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
     if version < 3:  # skip the tier byte and the transfer counter
         fields = fields[:5] + fields[6:12] + fields[13:]
     _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, *block = fields
-    w_chunk, off = _read_chunk(buf, head.size, end)
+    # The weights are decoded into a copy below, so they may view the file;
+    # the 8-bit moments are kept, so they must hold only their own bytes.
+    w_chunk, off = _read_chunk(memoryview(buf), head.size, end)
     m_chunk, off = _read_chunk(buf, off, end)
     v_chunk, off = _read_chunk(buf, off, end)
     if off != end:
@@ -510,7 +509,7 @@ def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
         (block_size,) = block
     else:
         block_size = m_chunk.block_size if bits == 8 else OptimConfig.block_size
-    n, want = w_chunk.num_elements, codec.Scheme.Q8_BLOCKWISE if bits == 8 else codec.Scheme.F32_RAW
+    n, want = w_chunk.num_elements, Scheme.Q8_BLOCKWISE if bits == 8 else Scheme.F32_RAW
     for c in (m_chunk, v_chunk):
         if c.num_elements != n or c.scheme != want or (bits == 8 and c.block_size != block_size):
             raise MalformedChunk(
@@ -525,7 +524,6 @@ def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
         )
     except ConfigError as e:
         raise MalformedChunk(f"checkpoint header: {e}") from None
-    m, v = m_chunk, v_chunk
     if bits == 32:
-        m, v = codec.decode_f32(m), codec.decode_f32(v)
-    return cfg, OptimState(m=m, v=v, step=step), codec.decode_f32(w_chunk)
+        m_chunk, v_chunk = codec.decode_f32(m_chunk), codec.decode_f32(v_chunk)
+    return cfg, OptimState(m=m_chunk, v=v_chunk, step=step), codec.decode_f32(w_chunk)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class Task:
 
 def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
     """loss = 0.5 * ||w - w*||^2 for every sample; grad = w - w*."""
-    if dim < 1:
-        raise ConfigError("dim must be >= 1")
+    if not (as_int(dim) >= 1 and as_int(n_samples) >= 1):
+        raise ConfigError(f"dim and n_samples must be integers >= 1, got {dim!r}, {n_samples!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     w_star = rng.standard_normal(dim)
 
@@ -59,8 +59,8 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
 
 def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
     """Binary logistic regression on linearly separable synthetic data."""
-    if n_samples < 1 or dim < 1:
-        raise ConfigError("n_samples and dim must be >= 1")
+    if not (as_int(n_samples) >= 1 and as_int(dim) >= 1):
+        raise ConfigError(f"n_samples and dim must be integers >= 1, got {n_samples!r}, {dim!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     x = rng.standard_normal((n_samples, dim))
     w_true = rng.standard_normal(dim)
@@ -94,6 +94,8 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
 
     Flat layout: W1 (hidden x in), b1, W2 (1 x hidden), b2.
     """
+    if not as_int(n_samples) >= 1:
+        raise ConfigError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     d_in, h = _MLP_IN, _MLP_HIDDEN
     x = rng.standard_normal((n_samples, d_in))

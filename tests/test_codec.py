@@ -201,6 +201,27 @@ class TestDequantizeQ8:
         payload[0] = 0
         assert c.payload == b"\x7f\x01"
 
+    def test_read_only_payload_is_kept_and_writable_is_copied(self):
+        scales = np.array([1.0], np.float32)
+        codes = np.array([127, -1], np.int8)
+        copied = codec.QuantizedChunk(Scheme.Q8_BLOCKWISE, 2, 4, scales, codes)
+        assert isinstance(copied.payload, bytes)
+        assert not np.shares_memory(np.frombuffer(copied.payload, np.int8), codes)
+        codes.flags.writeable = False
+        kept = codec.QuantizedChunk(Scheme.Q8_BLOCKWISE, 2, 4, scales, codes)
+        assert np.shares_memory(np.frombuffer(kept.payload, np.int8), codes)
+        assert kept.payload.readonly and kept.payload.format == "B"
+        # a byte view of negative codes equals the same bytes
+        assert kept.payload == copied.payload == b"\x7f\xff"
+
+    def test_encoded_negative_codes_equal_the_oracle_bytes(self):
+        x = TensorBuf(np.array([1.0, -2.0, -0.5, 0.25], np.float32))
+        c, want = codec.quantize_q8(x, 2), oracle.quantize_q8(x, 2)
+        assert isinstance(c.payload, memoryview) and isinstance(want.payload, bytes)
+        assert min(np.frombuffer(c.payload, np.int8)) < 0
+        assert c.payload == want.payload
+        assert codec.chunk_from_bytes(codec.chunk_to_bytes(c)).payload == want.payload
+
 
 class TestF16:
     def test_exact_one(self):
@@ -235,6 +256,11 @@ class TestEncodedSize:
 
     def test_f16_empty(self):
         assert codec.encoded_size(Scheme.F16, 0) == codec.HEADER_BYTES
+
+    @pytest.mark.parametrize("n, block_size", [(10, 0), (10, 2.5), (-1, 8), (None, 8)])
+    def test_malformed_sizes_are_refused(self, n, block_size):
+        with pytest.raises(MalformedChunk):
+            codec.encoded_size(Scheme.Q8_BLOCKWISE, n, block_size)
 
     def test_q8_megabyte_ratio(self):
         n = 1 << 20

@@ -239,6 +239,12 @@ class TestPackedState:
         np.testing.assert_array_equal(un.m.data, np.zeros(100))
         np.testing.assert_array_equal(un.v.data, np.zeros(100))
 
+    @pytest.mark.parametrize("n, block_size", [(0, 8), (1, 8), (100, 16), (4096 + 5, 4096)])
+    def test_zero_state_is_quantized_zeros(self, n, block_size):
+        st = init_state(n, OptimConfig.lamb(state_bits=8, block_size=block_size))
+        want = codec.chunk_to_bytes(codec.quantize_q8(TensorBuf(np.zeros(n)), block_size))
+        assert codec.chunk_to_bytes(st.m) == codec.chunk_to_bytes(st.v) == want
+
     def test_roundtrip_within_codec_bound(self):
         rng = np.random.default_rng(31)
         m = rng.standard_normal(5000).astype(np.float32)
@@ -435,7 +441,7 @@ class TestGroupedStep:
             parts = [w.data.tobytes(), g.data.tobytes()]
             for buf in (st.m, st.v):
                 if st.packed:
-                    parts += [buf.scales.tobytes(), buf.payload]
+                    parts += [buf.scales.tobytes(), bytes(buf.payload)]
                 else:
                     parts.append(buf.data.tobytes())
             return parts
@@ -466,11 +472,26 @@ class TestGroupedStep:
                 tracemalloc.stop()
         assert peaks[8] < peaks[32]
         # Per parameter: r, which becomes the new weights (4 bytes), and the
-        # joined m, v's group chunks and the joined v (1 byte each; m's group
-        # chunks are released before v is joined). Per element of a group:
-        # two work buffers and the decoded m and sqrt(v) (16 bytes), and 4
-        # more for the scales and the rest.
-        assert peaks[8] < 7 * n + 20 * optim._GROUP
+        # new m and v codes (1 byte each). Per element of a group: two work
+        # buffers and the m and sqrt(v) buffers (16 bytes), and 4 more for
+        # the scales and the rest.
+        assert peaks[8] < 6 * n + 20 * optim._GROUP
+
+    def test_chunks_built_per_step_do_not_grow_with_the_vector(self):
+        """An 8-bit step builds the same number of chunks at 3 groups as at 10."""
+        cfg = OptimConfig.lamb(state_bits=8, block_size=16)
+        built = []
+        for groups in (3, 10):
+            n = groups * optim._GROUP
+            w = TensorBuf(np.linspace(-1.0, 1.0, n, dtype=np.float32))
+            st = init_state(n, cfg)
+            with mock.patch.object(
+                codec.QuantizedChunk, "__post_init__", autospec=True,
+                side_effect=codec.QuantizedChunk.__post_init__,
+            ) as post_init:
+                lamb_step(w, w, st, cfg, 0.01)
+            built.append(post_init.call_count)
+        assert built[0] == built[1]
 
     def test_packed_state_in_other_block_size_is_refused(self):
         cfg = OptimConfig.lamb(state_bits=8, block_size=64)
@@ -505,6 +526,18 @@ class TestCheckpointFormat:
             w2, st2 = lamb_step(w2, g, st2, cfg2, 0.01)
         assert w.data.tobytes() == w2.data.tobytes()
         assert _same_state(st, st2)
+
+    def test_loaded_state_holds_only_its_own_bytes(self, tmp_path):
+        """A loaded 8-bit moment does not keep the rest of the file alive."""
+        cfg = OptimConfig.lamb(state_bits=8, block_size=64)
+        w, st, _ = self._run(cfg, n=5000)
+        path = tmp_path / "c.topt"
+        optim.save_checkpoint(path, cfg, st, w)
+        _, st2, _ = optim.load_checkpoint(path)
+        own = codec.encoded_size(codec.Scheme.Q8_BLOCKWISE, 5000, 64)
+        for c in (st2.m, st2.v):
+            owner = c.payload.obj if isinstance(c.payload, memoryview) else c.payload
+            assert memoryview(owner).nbytes <= own < path.stat().st_size / 4
 
     @pytest.mark.parametrize("bits, want_block", [(8, 64), (32, 4096)])
     def test_reads_version_1(self, tmp_path, bits, want_block):
@@ -759,6 +792,10 @@ class TestLayerPartition:
             self._step(layers)
 
 
+def _init_state(num_params):
+    return init_state(num_params, OptimConfig.lamb(state_bits=8))
+
+
 @pytest.mark.parametrize(
     "make, field, value",
     [
@@ -768,14 +805,25 @@ class TestLayerPartition:
             (OptimConfig, "weight_decay", math.nan),
             (OptimConfig, "trust_clip", (math.nan, 1.0)),
             (OptimConfig, "trust_clip", (0.0, math.nan)),
+            (OptimConfig, "trust_clip", (1.0,)),
+            (OptimConfig, "trust_clip", None),
             (OptimConfig, "beta1", math.nan),
+            (OptimConfig, "beta1", None),
             (OptimConfig, "algorithm", 7),
+            (OptimConfig, "state_bits", 8.0),
             (OptimConfig, "block_size", 0),
+            (OptimConfig, "block_size", "a"),
+            (OptimConfig, "block_size", 2.5),
             (ScheduleConfig, "peak_lr", math.nan),
             (ScheduleConfig, "end_lr", math.nan),
             (ScheduleConfig, "total_steps", math.nan),
+            (ScheduleConfig, "total_steps", None),
             (codec.CodecPolicy, "q8_threshold", 0),
             (codec.CodecPolicy, "block_size", math.nan),
+            (codec.CodecPolicy, "block_size", None),
+            (codec.CodecPolicy, "block_size", 2.5),
+            (_init_state, "num_params", -1),
+            (_init_state, "num_params", 2.5),
         ]
     ],
 )

@@ -8,10 +8,24 @@ from swarmdesk import tasks
 from swarmdesk.errors import ConfigError
 
 
-@pytest.mark.parametrize("name", ["quadratic", "logreg", "tiny_mlp"])
-def test_unknown_kwarg_is_config_error(name):
-    with pytest.raises(ConfigError, match="dimm"):
-        tasks.make_task(name, 0, dimm=5)
+@pytest.mark.parametrize(
+    "name, kwargs, match",
+    [
+        pytest.param("quadratic", {"dimm": 5}, "dimm", id="quadratic"),
+        pytest.param("logreg", {"dimm": 5}, "dimm", id="logreg"),
+        pytest.param("tiny_mlp", {"dimm": 5}, "dimm", id="tiny_mlp"),
+        pytest.param("quadratic", {"dim": 2.5}, "dim", id="quadratic-dim=2.5"),
+        pytest.param("quadratic", {"n_samples": 0}, "n_samples", id="quadratic-n_samples=0"),
+        pytest.param("logreg", {"n_samples": None}, "n_samples", id="logreg-n_samples=None"),
+        pytest.param("logreg", {"dim": "a"}, "dim", id="logreg-dim=a"),
+        pytest.param("tiny_mlp", {"n_samples": -3}, "n_samples", id="tiny_mlp-n_samples=-3"),
+        pytest.param("tiny_mlp", {"n_samples": 0}, "n_samples", id="tiny_mlp-n_samples=0"),
+    ],
+)
+def test_unknown_kwarg_is_config_error(name, kwargs, match):
+    """An unknown keyword, and a size that is not an integer >= 1, are refused."""
+    with pytest.raises(ConfigError, match=match):
+        tasks.make_task(name, 0, **kwargs)
 
 
 @pytest.mark.parametrize(
