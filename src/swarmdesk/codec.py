@@ -11,9 +11,10 @@ Two working schemes plus a raw passthrough:
   is refused rather than decoded to Inf. Codes are specified with a float64
   division; encoding divides in fp32 and divides again in float64 only the
   rare elements whose fp32 quotient is exactly a half-integer, which gives
-  the same bytes. Blocks are independent, so encoding walks the tensor in
-  cache-sized groups of whole blocks: its transient memory is the payload
-  and one group's two fp32 work buffers, whatever the size.
+  the same bytes. Blocks are independent, so encoding, decoding and the
+  optimizer step walk a tensor in the same cache-sized pieces (``_pieces``):
+  encoding's transient memory is the payload and one piece's two fp32 work
+  buffers, whatever the size.
 * ``F16`` — IEEE binary16 with round-to-nearest-even. Values above the
   largest finite half-precision magnitude (65504) are rejected outright
   rather than saturated.
@@ -99,9 +100,10 @@ class TensorBuf:
 class QuantizedChunk:
     """Encoded tensor: scheme tag, per-block scales (Q8 only) and payload bytes.
 
-    The constructor checks that the fields fit together and raises
-    ``MalformedChunk`` when they do not. It keeps ``scales`` as a read-only
-    fp32 view, not a copy. ``payload`` stays ``bytes`` when it is ``bytes``;
+    The constructor checks that the fields have the types and ranges the
+    wire header holds and fit together, and raises ``MalformedChunk`` when
+    they do not. It keeps ``scales`` as a read-only fp32 view, not a copy.
+    ``payload`` stays ``bytes`` when it is ``bytes``;
     a read-only, C-contiguous buffer (a read-only array, a view of bytes) is
     kept as a ``memoryview`` of format ``"B"``, not a copy, and anything
     else (a ``bytearray``, a writable array) is copied once into ``bytes``.
@@ -120,21 +122,29 @@ class QuantizedChunk:
             object.__setattr__(self, "scheme", Scheme(self.scheme))
         except ValueError:
             raise MalformedChunk(f"unknown scheme {self.scheme!r}") from None
-        scales = np.asarray(self.scales, np.float32).view()
+        try:
+            scales = np.asarray(self.scales, np.float32).view()
+            if not isinstance(self.payload, bytes):
+                view = memoryview(self.payload)
+                # format "B", so that it equals bytes with the same content
+                payload = view.cast("B") if view.readonly and view.c_contiguous else bytes(view)
+                object.__setattr__(self, "payload", payload)
+        except (TypeError, ValueError):
+            raise MalformedChunk("scales must be fp32 numbers and payload a buffer") from None
+        if scales.ndim != 1:
+            raise MalformedChunk(f"scales must be a vector, got {scales.ndim} dimensions")
         scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
-        if not isinstance(self.payload, bytes):
-            view = memoryview(self.payload)
-            # format "B", so that it equals bytes with the same content
-            payload = view.cast("B") if view.readonly and view.c_contiguous else bytes(view)
-            object.__setattr__(self, "payload", payload)
-        n = self.num_elements
-        if n < 0:
-            raise MalformedChunk("negative element count")
+        # the ranges the wire header holds; a non-integer becomes NaN and fails
+        n, bs = self.num_elements, self.block_size
+        if not 0 <= as_int(n) < 2**64:
+            raise MalformedChunk(f"element count must be an integer in [0, 2**64), got {n!r}")
+        if not 0 <= as_int(bs) < 2**32:
+            raise MalformedChunk(f"block_size must be an integer in [0, 2**32), got {bs!r}")
         if self.scheme == Scheme.Q8_BLOCKWISE:
-            if self.block_size < 1:
+            if bs < 1:
                 raise MalformedChunk("Q8 chunk needs block_size >= 1")
-            want_scales = -(-n // self.block_size)
+            want_scales = -(-n // bs)
             if scales.size != want_scales:
                 raise MalformedChunk(f"expected {want_scales} scales, got {scales.size}")
             if len(self.payload) != n:
@@ -175,33 +185,40 @@ class CodecPolicy:
 
 def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
     """Pick the wire scheme for an n-element tensor (pure threshold, monotone)."""
-    if n < 0:
-        raise MalformedChunk("element count must be >= 0")
+    if not as_int(n) >= 0:
+        raise MalformedChunk("element count must be an integer >= 0")
     if policy.lossless:
         return Scheme.F32_RAW
     return Scheme.Q8_BLOCKWISE if n >= policy.q8_threshold else Scheme.F16
 
 
-# Elements per group of whole blocks in quantize_q8. Its two fp32 work
-# buffers (8 bytes per element, 512 KiB) then stay in a 2 MiB L2 cache; on
-# such a machine 2**15 to 2**16 encoded fastest.
+# Elements per run of whole blocks in _pieces, rounded to blocks. The
+# optimizer step's seven fp32 arrays per piece (slices of w, g and r, the m
+# and sqrt(v) buffers, two work buffers) are 1.75 MiB at 2**16 and stay in a
+# 2 MiB L2 cache; there 2**15 to 2**17 ran the 8-bit LAMB step equally fast,
+# 2**15 to 2**16 encoded fastest, and 2**16 makes half as many encoder calls.
 _GROUP = 1 << 16
 _SMALLEST_NORMAL = np.finfo(np.float32).tiny
 
 
-def _quantize_into(x, block_size, scales, codes, quot, rounded) -> None:
-    """Quantize the fp32 vector ``x`` into ``scales`` and ``codes``, arrays
-    the caller owns and sized for it. ``x`` is not empty: whole blocks and
-    at most one partial last block. ``quot`` and ``rounded`` are fp32 work
-    buffers of at least x.size elements.
-    """
-    n = x.size
+def _pieces(n: int, block_size: int) -> list[tuple[int, int]]:
+    """The (start, stop) of each piece of an n-element Q8 vector, in order:
+    runs of whole blocks of at most ``_GROUP`` elements (at least one
+    block), then the partial last block, if any, as a piece of its own."""
     full = n - n % block_size
-    if 0 < full < n:  # the whole blocks, then the partial last block
-        _quantize_into(x[:full], block_size, scales[:-1], codes[:full], quot, rounded)
-        _quantize_into(x[full:], block_size, scales[-1:], codes[full:], quot, rounded)
-        return
-    x = x.reshape(-1, min(n, block_size))  # one block per row
+    group = max(1, _GROUP // block_size) * block_size
+    pieces = [(start, min(start + group, full)) for start in range(0, full, group)]
+    return pieces + [(full, n)] if full < n else pieces
+
+
+def _quantize_into(x, start, block_size, scales, codes, quot, rounded) -> None:
+    """Quantize ``x``, the piece [start, start + x.size) of a tensor, into
+    that piece's blocks of the tensor's ``scales`` and ``codes``. ``quot``
+    and ``rounded`` are fp32 work buffers of at least x.size elements."""
+    bs, n = block_size, x.size
+    stop = start + n
+    scales, codes = scales[start // bs : -(-stop // bs)], codes[start:stop]
+    x = x.reshape(-1, min(n, bs))  # one block per row
     quot, rounded = quot[:n].reshape(x.shape), rounded[:n].reshape(x.shape)
     np.abs(x, out=quot)
     np.maximum.reduce(quot, axis=1, out=scales)
@@ -248,10 +265,11 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
     divided again in float64. A block whose 127 * scale overflows fp32
     raises ``OverflowToInfinity``, since it would decode to Inf.
 
-    The tensor is encoded in groups of whole blocks, about ``_GROUP``
-    elements each; the last group ends with the partial block. Besides the
-    payload and scales, it allocates 8 bytes of work buffer per element of
-    one group, so its transient memory is the payload and a fixed amount.
+    The tensor is encoded piece by piece (``_pieces``): runs of whole
+    blocks of at most ``_GROUP`` elements, then the partial last block.
+    Besides the payload and scales, it allocates 8 bytes of work buffer per
+    element of the largest piece, so its transient memory is the payload
+    and a fixed amount.
     The chunk keeps the codes array as its payload, read-only.
     """
     if not as_int(block_size) >= 1:
@@ -259,12 +277,10 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
     x, n = t.data, t.num_elements
     scales = np.empty(-(-n // block_size), np.float32)
     codes = np.empty(n, np.int8)
-    group = max(1, _GROUP // block_size) * block_size
-    quot, rounded = np.empty((2, min(n, group)), np.float32)
-    for start in range(0, n, group):
-        stop = min(start + group, n)
-        blocks = slice(start // block_size, -(-stop // block_size))
-        _quantize_into(x[start:stop], block_size, scales[blocks], codes[start:stop], quot, rounded)
+    pieces = _pieces(n, block_size)
+    quot, rounded = np.empty((2, max((b - a for a, b in pieces), default=0)), np.float32)
+    for start, stop in pieces:
+        _quantize_into(x[start:stop], start, block_size, scales, codes, quot, rounded)
     codes.flags.writeable = False
     return QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, scales, codes)
 
@@ -272,37 +288,37 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
 def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
     """Decode a Q8 chunk: x_i = code_i * scale of its block, in fp32.
 
-    The output is the only tensor-sized allocation.
+    The output is the only tensor-sized allocation. It is decoded piece by
+    piece, so that a piece is still in cache when it is scaled.
     """
     if c.scheme != Scheme.Q8_BLOCKWISE:
         raise MalformedChunk(f"dequantize_q8 got scheme {c.scheme!r}")
     out = np.empty(c.num_elements, np.float32)
-    _dequantize_into(c, 0, c.num_elements, out)
+    for start, stop in _pieces(c.num_elements, c.block_size):
+        _dequantize_into(c, start, stop, out[start:stop])
     return TensorBuf(out)
 
 
 def _dequantize_into(c: QuantizedChunk, start: int, stop: int, out: np.ndarray) -> None:
-    """Decode elements [start, stop) of a Q8 chunk into the fp32 ``out``.
+    """Decode the piece [start, stop) of a Q8 chunk into the fp32 ``out``.
 
-    ``start`` is on a block boundary. The codes are read in place from the
-    payload and cast into ``out``, which holds every one exactly, and
-    ``out`` is scaled in place: its full blocks by one broadcast multiply,
-    a partial last block by a second.
+    The codes are read in place from the payload and cast into ``out``,
+    which holds every one exactly, and ``out`` is scaled in place by one
+    broadcast multiply.
     """
     bs, count = c.block_size, stop - start
     scales = c.scales[start // bs : -(-stop // bs)]
     np.copyto(out, np.frombuffer(c.payload, np.int8, count, start))
-    full = count - count % bs
-    blocks = out[:full].reshape(-1, bs)
-    np.multiply(blocks, scales[: full // bs, None], out=blocks)
-    if full < count:
-        np.multiply(out[full:], scales[-1:], out=out[full:])
+    blocks = out.reshape(-1, min(count, bs))
+    np.multiply(blocks, scales[:, None], out=blocks)
 
 
 def _encode_float(t: TensorBuf, scheme: Scheme) -> QuantizedChunk:
-    """Encode as the float scheme's payload type; NaN/Inf are rejected."""
+    """Encode as the float scheme's payload type; NaN/Inf are rejected. The
+    chunk keeps the converted array as its payload, read-only."""
     t.require_finite()
-    payload = t.data.astype(_FLOAT_DTYPES[scheme]).tobytes()
+    payload = t.data.astype(_FLOAT_DTYPES[scheme])
+    payload.flags.writeable = False
     return QuantizedChunk(scheme, t.num_elements, 0, np.zeros(0, np.float32), payload)
 
 
@@ -315,7 +331,7 @@ def _decode_float(c: QuantizedChunk, scheme: Scheme) -> TensorBuf:
 def encode_f16(t: TensorBuf) -> QuantizedChunk:
     """Encode as IEEE binary16 (round-to-nearest-even); rejects |x| > 65504."""
     # NaN and Inf fail this test and are left to the finiteness check
-    if t.data.size and F16_MAX < np.abs(t.data).max() < np.inf:
+    if t.data.size and F16_MAX < max(t.data.max(), -t.data.min()) < np.inf:
         raise OverflowToInfinity(f"|x| exceeds binary16 max finite {F16_MAX}")
     return _encode_float(t, Scheme.F16)
 

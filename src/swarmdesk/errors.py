@@ -49,14 +49,16 @@ class ConfigError(SwarmError):
 
 # A setting is checked as ``if not lo <= as_int(x): raise ...``: a value of
 # the wrong type (None, a string, 2.5 where a count belongs) becomes NaN,
-# which fails the comparison, instead of raising TypeError.
+# which fails the comparison, instead of raising TypeError. Both coercions
+# test the exact built-in type first: an isinstance test against a numbers
+# ABC takes about 0.4 us, and an optimizer step makes two per layer.
 
 
 def as_int(value):
     """``value`` if it is an integer (Python or numpy), else NaN."""
-    return value if isinstance(value, numbers.Integral) else math.nan
+    return value if type(value) is int or isinstance(value, numbers.Integral) else math.nan
 
 
 def as_real(value):
     """``value`` if it is a real number (Python or numpy), else NaN."""
-    return value if isinstance(value, numbers.Real) else math.nan
+    return value if type(value) is float or isinstance(value, numbers.Real) else math.nan

@@ -14,14 +14,15 @@ ratio is each layer's clamped trust ratio ||w|| / ||r||, known once the
 layer's r is whole; Adam's is 1. A named-layer partition must tile the
 parameter vector in order; with none, the whole vector is one layer.
 
-The moment math runs over the vector in groups of whole state blocks
-(``_GROUP`` elements, rounded to blocks): decode the group's m and sqrt(v)
-in place from the old payloads, update them, encode them into the group's
-slices of the new payloads, and write the group's slice of r. 8-bit state
-is therefore never decoded whole, and a step builds two chunks whatever the
-size. Beyond four group-sized fp32 buffers that every group reuses, a
-step's transient memory is r, which becomes the new weights, and the new
-state: 1.5x the parameter bytes with 8-bit state and 3x with fp32 state.
+The moment math walks the vector in the codec's pieces (``codec._pieces``:
+runs of whole state blocks, then the partial last block): decode the
+piece's m and sqrt(v) in place from the old payloads, update them, encode
+them into the piece's slices of the new payloads, and write the piece's
+slice of r. 8-bit state is therefore never decoded whole, and a step builds
+two chunks whatever the size. Beyond four piece-sized fp32 buffers that
+every piece reuses, a step's transient memory is r, which becomes the new
+weights, and the new state: 1.5x the parameter bytes with 8-bit state and
+3x with fp32 state.
 Packed state must use the config's ``block_size``.
 
 Checkpoint file (version 3): magic "TOPT", a fixed config block (version,
@@ -91,7 +92,7 @@ class ScheduleConfig:
 
 def lr_at(step: int, s: ScheduleConfig) -> float:
     """Learning rate at a step; piecewise linear, peak hit exactly at warmup end."""
-    if not 0 <= step <= s.total_steps:
+    if not 0 <= as_int(step) <= s.total_steps:
         raise StepOutOfRange(f"step {step} outside [0, {s.total_steps}]")
     w = s.warmup_steps
     if step < w:
@@ -145,11 +146,28 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class OptimState:
-    """Moment buffers (fp32 or packed Q8 chunks) and step counter."""
+    """Moment buffers (fp32 or packed Q8 chunks) and step counter.
+
+    m and v are both fp32 or both Q8 chunks in one block size, of one
+    length; the step is an integer the checkpoint header holds.
+    """
 
     m: TensorBuf | QuantizedChunk
     v: TensorBuf | QuantizedChunk
     step: int = 0
+
+    def __post_init__(self):
+        m, v = self.m, self.v
+        if isinstance(m, QuantizedChunk) and isinstance(v, QuantizedChunk):
+            alike = m.scheme == v.scheme == Scheme.Q8_BLOCKWISE and m.block_size == v.block_size
+        else:
+            alike = isinstance(m, TensorBuf) and isinstance(v, TensorBuf)
+        if not alike:
+            raise ConfigError("m and v must both be fp32 or both Q8 chunks in one block size")
+        if m.num_elements != v.num_elements:
+            raise ShapeMismatch(f"m has {m.num_elements} elements, v {v.num_elements}")
+        if not 0 <= as_int(self.step) < 2**64:
+            raise ConfigError(f"step must be an integer in [0, 2**64), got {self.step!r}")
 
     @property
     def packed(self) -> bool:
@@ -193,11 +211,8 @@ def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_
 
 def _require_block_size(st: OptimState, block_size: int):
     """Packed state is whole blocks of one size; it is never re-blocked."""
-    if st.packed and not st.m.block_size == st.v.block_size == block_size:
-        raise ConfigError(
-            f"state is packed in blocks of {st.m.block_size} and {st.v.block_size}, "
-            f"not {block_size}"
-        )
+    if st.packed and st.m.block_size != block_size:
+        raise ConfigError(f"state is packed in blocks of {st.m.block_size}, not {block_size}")
 
 
 def unpack_state(st: OptimState) -> OptimState:
@@ -229,54 +244,52 @@ def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
         raise NonFiniteGradient("gradient contains NaN or Inf")
 
 
-# Elements per group of the optimizer step, rounded to whole state blocks.
-# A group's slices of w, g and r, its m and sqrt(v) buffers and the two work
-# buffers are seven fp32 arrays, 1.75 MiB at 2**16; on a machine with a
-# 2 MiB L2 cache 2**15 to 2**17 ran the 8-bit LAMB step equally fast, and
-# 2**16 makes half as many encoder calls as 2**15.
-_GROUP = 1 << 16
-
-
 def _partition(layers, n: int) -> list[tuple[int, int]]:
     """The (start, stop) of each layer. A layer's slice of r is overwritten
     with its new weights, so no later layer may read it again: the layers
     must tile [0, n) in order."""
     bounds, end = [], 0
-    for _name, start, stop in layers or (("all", 0, n),):
+    for layer in layers or (("all", 0, n),):
+        try:
+            _name, start, stop = layer
+        except (TypeError, ValueError):
+            raise ShapeMismatch(f"layer {layer!r} is not (name, start, stop)") from None
         bounds.append((start, stop))
-        # once a layer does not continue the partition, end stays NaN
-        end = stop if end == start <= stop <= n else math.nan
+        # once a layer does not continue the partition, or a bound is not an
+        # integer, end stays NaN
+        end = stop if end == as_int(start) <= as_int(stop) <= n else math.nan
     if end != n:
         raise ShapeMismatch(f"layers {bounds} do not tile [0, {n}) in order")
     return bounds
 
 
 def _grouped_step(w, g, st, cfg, lr, layers, clip):
-    """LAMB, or Adam when ``clip`` is None, one group of whole state blocks
-    at a time.
+    """LAMB, or Adam when ``clip`` is None, one piece of the state at a time.
 
-    Per group: read m and sqrt(v) (decode the group's blocks of 8-bit state
-    into two reused group buffers, or slice fp32 state), update them in
-    fp32, write the group's slice of the direction
-    r = mhat / (sqrt(vhat) + eps) + wd * w, and write the group's new state
+    Per piece: read m and sqrt(v) (decode the piece's blocks of 8-bit state
+    into two reused piece buffers, or slice fp32 state), update them in
+    fp32, write the piece's slice of the direction
+    r = mhat / (sqrt(vhat) + eps) + wd * w, and write the piece's new state
     (for 8-bit state, encode it into its slices of the new codes and scales,
     with the two work buffers as the encoder's scratch). The new weights
     w - (lr * ratio) * r are written over r in place as soon as the ratio
-    is known: Adam's is 1, so each group's slice right after the group;
+    is known: Adam's is 1, so each piece's slice right after the piece;
     LAMB takes each layer's ratio from the norms of its w and r slices, so
-    each layer once the groups have written all of its r. Every value comes
+    each layer once the pieces have written all of its r. Every value comes
     from the same fp32 operations in the same order as on whole vectors, so
-    the result does not depend on the group size.
+    the result does not depend on how the vector is cut.
 
     Every operation writes with ``out=`` into memory the step owns: four
-    group-sized buffers, r and the new state, whose codes and scales are
+    piece-sized buffers, r and the new state, whose codes and scales are
     allocated once and become the new chunks at the end. ``w``, ``g`` and
-    the old state are only read. Transient memory beyond the group buffers,
+    the old state are only read. Transient memory beyond the piece buffers,
     per element: 4 bytes for r, which becomes the new weights, and the new
     state (fp32: 8 bytes; 8-bit: 2).
     """
     _check_inputs(w, g, st)
     _require_block_size(st, cfg.block_size)
+    if not 0.0 <= as_real(lr) < math.inf:
+        raise ConfigError(f"lr must be finite and >= 0, got {lr!r}")
     w, g, n, bs = w.data, g.data, w.num_elements, cfg.block_size
     b1, b2 = np.float32(cfg.beta1), np.float32(cfg.beta2)
     one, lr32 = np.float32(1.0), np.float32(lr)
@@ -284,22 +297,18 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
     c1, c2 = one - b1 ** np.float32(step), one - b2 ** np.float32(step)
     eps, wd = np.float32(cfg.epsilon), np.float32(cfg.weight_decay)
     out8 = cfg.state_bits == 8
-    group = max(1, _GROUP // bs) * bs
+    pieces = codec._pieces(n, bs)
     # The slices of r that take one ratio each and whose new weights are not
-    # written yet, the next one last: LAMB's layers, or Adam's groups.
-    if clip is None:
-        todo = [(start, min(start + group, n)) for start in range(0, n, group)][::-1]
-    else:
-        todo = _partition(layers, n)[::-1]
-    work = np.empty((4, min(n, group)), np.float32)
+    # written yet, the next one last: LAMB's layers, or Adam's pieces.
+    todo = (pieces if clip is None else _partition(layers, n))[::-1]
+    work = np.empty((4, max((b - a for a, b in pieces), default=0)), np.float32)
     r = np.empty(n, np.float32)
     if out8:
         m_codes, v_codes = np.empty(n, np.int8), np.empty(n, np.int8)
         m_scales, v_scales = np.empty(-(-n // bs), np.float32), np.empty(-(-n // bs), np.float32)
     else:
         new_m, new_v = np.empty(n, np.float32), np.empty(n, np.float32)
-    for start in range(0, n, group):
-        stop = min(start + group, n)
+    for start, stop in pieces:
         gg, ww = g[start:stop], w[start:stop]
         t1, t2, m_buf, v_buf = work[:, : stop - start]
         if st.packed:
@@ -331,9 +340,8 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
             np.subtract(w[a:b], r[a:b], out=r[a:b])
         if out8:
             v_root = np.sqrt(np.maximum(v, np.float32(0.0), out=v), out=v)
-            blocks = slice(start // bs, -(-stop // bs))
-            codec._quantize_into(m, bs, m_scales[blocks], m_codes[start:stop], t1, t2)
-            codec._quantize_into(v_root, bs, v_scales[blocks], v_codes[start:stop], t1, t2)
+            codec._quantize_into(m, start, bs, m_scales, m_codes, t1, t2)
+            codec._quantize_into(v_root, start, bs, v_scales, v_codes, t1, t2)
     if out8:
         m_codes.flags.writeable = v_codes.flags.writeable = False
         new_m = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, bs, m_scales, m_codes)

@@ -165,14 +165,17 @@ _FACTORIES = {
 def make_task(name: str, seed: int, **kwargs) -> Task:
     """Build a task by name; ``kwargs`` are that task's size parameters.
 
-    An unknown task name or keyword raises ``ConfigError``.
+    An unknown task name or keyword, or a seed that is not an integer
+    >= 0, raises ``ConfigError``.
     """
     try:
         factory = _FACTORIES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
         raise ConfigError(
             f"unknown task {name!r}; choose from {sorted(_FACTORIES)}"
         ) from None
+    if not as_int(seed) >= 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     try:
         inspect.signature(factory).bind(seed, **kwargs)
     except TypeError as e:

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -54,6 +55,38 @@ class TestSelectScheme:
                 seen_q8 = True
             else:
                 assert not seen_q8, "scheme flipped back below threshold"
+
+    @pytest.mark.parametrize("n", [-1, None, 2.5])
+    def test_malformed_counts_are_refused(self, n):
+        with pytest.raises(MalformedChunk):
+            codec.select_scheme(n)
+
+
+_CODERS = {
+    Scheme.Q8_BLOCKWISE: (lambda t: codec.quantize_q8(t, 8), codec.dequantize_q8),
+    Scheme.F16: (codec.encode_f16, codec.decode_f16),
+    Scheme.F32_RAW: (codec.encode_f32, codec.decode_f32),
+}
+
+
+@pytest.mark.parametrize(
+    "policy, n, scheme",
+    [
+        (CodecPolicy(q8_threshold=20, block_size=8), 20, Scheme.Q8_BLOCKWISE),
+        (CodecPolicy(q8_threshold=20, block_size=8), 19, Scheme.F16),
+        (CodecPolicy(q8_threshold=20, lossless=True), 20, Scheme.F32_RAW),
+        (CodecPolicy(), 0, Scheme.F16),
+    ],
+    ids=["q8", "f16", "lossless", "empty"],
+)
+def test_encode_and_decode_dispatch_on_the_scheme(policy, n, scheme):
+    """``encode`` uses the policy's scheme and ``decode`` the chunk's."""
+    t = TensorBuf(np.linspace(-2.0, 3.0, n, dtype=np.float32))
+    encode, decode = _CODERS[scheme]
+    c = codec.encode(t, policy)
+    assert c.scheme == scheme
+    assert codec.chunk_to_bytes(c) == codec.chunk_to_bytes(encode(t))
+    assert codec.decode(c).data.tobytes() == decode(c).data.tobytes()
 
 
 class TestQuantizeQ8:
@@ -129,6 +162,11 @@ class TestQuantizeQ8:
             with pytest.raises(NonFiniteInput):
                 codec.quantize_q8(TensorBuf([1.0, bad]), 4)
 
+    @pytest.mark.parametrize("block_size", [0, 2.5, None])
+    def test_rejects_malformed_block_size(self, block_size):
+        with pytest.raises(MalformedChunk):
+            codec.quantize_q8(TensorBuf([1.0]), block_size)
+
     @pytest.mark.parametrize("top", [3.4028235e38, -3.4028235e38])
     def test_rejects_overflow_of_127_scales(self, top):
         # 127 * (absmax / 127) rounds past the fp32 maximum: it would decode to Inf
@@ -193,6 +231,38 @@ class TestDequantizeQ8:
                 Scheme.Q8_BLOCKWISE, 8, 4, np.array([1.0, 1.0], np.float32), bytes(5)
             )
 
+    @pytest.mark.parametrize(
+        "scheme, n, block_size, scales, payload",
+        [
+            pytest.param(Scheme.Q8_BLOCKWISE, 3, 2.5, [0.0, 0.0], bytes(3), id="q8-block_size=2.5"),
+            pytest.param(Scheme.Q8_BLOCKWISE, 3, 0, [], bytes(3), id="q8-block_size=0"),
+            pytest.param(Scheme.Q8_BLOCKWISE, 3, 2**32, [0.0], bytes(3), id="q8-block_size=2**32"),
+            pytest.param(Scheme.Q8_BLOCKWISE, None, 4, [0.0], bytes(3), id="num_elements=None"),
+            pytest.param(Scheme.Q8_BLOCKWISE, -1, 4, [], b"", id="num_elements=-1"),
+            pytest.param(Scheme.Q8_BLOCKWISE, 2**64, 4, [], b"", id="num_elements=2**64"),
+            pytest.param(Scheme.F16, 2.0, 0, [], bytes(4), id="f16-num_elements=2.0"),
+            pytest.param(Scheme.F16, 2, None, [], bytes(4), id="f16-block_size=None"),
+            pytest.param(Scheme.F16, 2, -1, [], bytes(4), id="f16-block_size=-1"),
+            pytest.param(Scheme.Q8_BLOCKWISE, 3, 4, [[0.0]], bytes(3), id="2-D-scales"),
+            pytest.param(Scheme.Q8_BLOCKWISE, 3, 4, "a", bytes(3), id="scales=a"),
+            pytest.param(Scheme.Q8_BLOCKWISE, 3, 4, [0.0], None, id="payload=None"),
+        ],
+    )
+    def test_malformed_fields_are_refused(self, scheme, n, block_size, scales, payload):
+        """Each field is refused when the chunk is built, not later by a
+        decoder or the wire writer with a bare error."""
+        with pytest.raises(MalformedChunk):
+            codec.QuantizedChunk(scheme, n, block_size, scales, payload)
+
+    @pytest.mark.parametrize(
+        "use", [codec.dequantize_q8, codec.roundtrip_error_bound, codec.decode_f16]
+    )
+    def test_chunk_of_another_scheme_is_refused(self, use):
+        t = TensorBuf([1.0, -2.0])
+        other = codec.encode_f32(t) if use is codec.decode_f16 else codec.encode_f16(t)
+        with pytest.raises(MalformedChunk):
+            use(other)
+
     def test_chunk_cannot_change_after_it_is_built(self):
         scales, payload = np.array([1.0], np.float32), bytearray(b"\x7f\x01")
         c = codec.QuantizedChunk(Scheme.Q8_BLOCKWISE, 2, 4, scales, payload)
@@ -248,6 +318,28 @@ class TestF16:
         out = codec.decode_f16(c).data
         assert np.array_equal(out, x.astype(np.float16).astype(np.float32))
 
+    @pytest.mark.parametrize("encode", [codec.encode_f16, codec.encode_f32])
+    @pytest.mark.parametrize("values", [[1.0, np.nan], [7e4, np.nan], [np.inf, -7e4], [-np.inf]])
+    def test_float_encoders_reject_nonfinite(self, encode, values):
+        """NaN and Inf are refused as such, also beside a value past 65504."""
+        with pytest.raises(NonFiniteInput):
+            encode(TensorBuf(values))
+
+    @pytest.mark.parametrize("encode, itemsize", [(codec.encode_f32, 4), (codec.encode_f16, 2)])
+    def test_float_encoders_copy_once(self, encode, itemsize):
+        """The converted array is the payload; nothing else tensor-sized is
+        allocated (the input is 4 bytes per element)."""
+        x = TensorBuf(np.random.default_rng(1).standard_normal(1 << 20).astype(np.float32))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            c = encode(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(c.payload) == itemsize * x.num_elements
+        assert peak < 1.25 * len(c.payload)
+
 
 class TestEncodedSize:
     def test_q8_single_block(self):
@@ -261,6 +353,10 @@ class TestEncodedSize:
     def test_malformed_sizes_are_refused(self, n, block_size):
         with pytest.raises(MalformedChunk):
             codec.encoded_size(Scheme.Q8_BLOCKWISE, n, block_size)
+
+    def test_unknown_scheme_is_refused(self):
+        with pytest.raises(MalformedChunk):
+            codec.encoded_size(7, 10)
 
     def test_q8_megabyte_ratio(self):
         n = 1 << 20
@@ -386,6 +482,28 @@ def test_q8_bytes_match_whole_tensor_oracle(values, block_size, group):
     at group sizes (in elements) that cut the tensor into many groups."""
     with mock.patch.object(codec, "_GROUP", group):
         _assert_same_q8(np.array(values, np.float32), block_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5000),
+    st.integers(min_value=1, max_value=300),
+    st.sampled_from([1, 5, 64, 1000, codec._GROUP]),
+)
+def test_pieces_are_runs_of_whole_blocks_then_the_partial_block(n, block_size, group):
+    """The pieces tile [0, n) in order. Each is whole blocks, at most a
+    group of them (at least one block), or it is the one partial block,
+    last."""
+    with mock.patch.object(codec, "_GROUP", group):
+        pieces = codec._pieces(n, block_size)
+    edges = [0] + [stop for _, stop in pieces]
+    assert [start for start, _ in pieces] == edges[:-1] and edges[-1] == n
+    for i, (start, stop) in enumerate(pieces):
+        assert start % block_size == 0
+        if (stop - start) % block_size:
+            assert i == len(pieces) - 1 and stop - start < block_size
+        else:
+            assert block_size <= stop - start <= max(group, block_size)
 
 
 @pytest.mark.parametrize(

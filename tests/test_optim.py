@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from swarmdesk import codec, optim
+from swarmdesk import codec, optim, tasks
 from swarmdesk.codec import TensorBuf
 from swarmdesk.errors import (
     ChecksumMismatch,
     ConfigError,
     MalformedChunk,
     NonFiniteGradient,
+    NonFiniteInput,
     ShapeMismatch,
     StepOutOfRange,
     SwarmError,
@@ -74,10 +75,9 @@ class TestSchedule:
 
     def test_out_of_range(self):
         s = ScheduleConfig(total_steps=10)
-        with pytest.raises(StepOutOfRange):
-            lr_at(-1, s)
-        with pytest.raises(StepOutOfRange):
-            lr_at(11, s)
+        for step in (-1, 11, None, 2.5):
+            with pytest.raises(StepOutOfRange):
+                lr_at(step, s)
 
     def test_piecewise_linear_closed_form(self):
         s = ScheduleConfig(total_steps=1000, warmup_fraction=0.2, peak_lr=0.01,
@@ -275,6 +275,13 @@ class TestPackedState:
             st = unpack_state(pack_state(st, 8))
             assert np.all(st.v.data >= 0.0)
 
+    def test_state_nbytes_counts_the_moment_buffers(self):
+        n, bs = 100, 16
+        st = init_state(n, OptimConfig.adam())
+        assert optim.state_nbytes(st) == 8 * n
+        packed = pack_state(st, 8, bs)
+        assert optim.state_nbytes(packed) == 2 * (n + 4 * 7)  # codes and 7 scales each
+
     def test_8bit_lamb_tracks_fp32_on_quadratic(self):
         rng = np.random.default_rng(43)
         w_star = rng.standard_normal(100).astype(np.float32)
@@ -327,6 +334,13 @@ class TestCheckpoint:
         wb, stb = adam_step(w2, g, st2, cfg, 0.01)
         assert wa.data.tobytes() == wb.data.tobytes()
         assert codec.chunk_to_bytes(sta.m) == codec.chunk_to_bytes(stb.m)
+
+    def test_nonfinite_weights_are_not_saved(self, tmp_path):
+        cfg = OptimConfig.lamb(state_bits=8)
+        path = tmp_path / "c.topt"
+        with pytest.raises(NonFiniteInput):
+            optim.save_checkpoint(path, cfg, init_state(2, cfg), TensorBuf([1.0, np.nan]))
+        assert os.listdir(tmp_path) == []
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk"
@@ -399,7 +413,7 @@ class TestGroupedStep:
     @given(
         n=hs.integers(0, 300),
         block_size=hs.sampled_from([1, 3, 8, 64, 4096]),
-        group=hs.sampled_from([1, 5, 64, optim._GROUP]),
+        group=hs.sampled_from([1, 5, 64, codec._GROUP]),
         cuts=hs.lists(hs.integers(0, 300), max_size=4),
         seed=hs.integers(0, 2**32 - 1),
     )
@@ -409,17 +423,17 @@ class TestGroupedStep:
         cfg = getattr(OptimConfig, algo)(state_bits=bits, block_size=block_size, weight_decay=wd)
         edges = sorted({0, n, *(min(c, n) for c in cuts)})
         layers = tuple((f"l{i}", a, b) for i, (a, b) in enumerate(zip(edges, edges[1:])))
-        with mock.patch.object(optim, "_GROUP", group):
+        with mock.patch.object(codec, "_GROUP", group):
             _assert_steps_match_oracle(n, cfg, layers, steps=3, seed=seed)
 
     @pytest.mark.parametrize("algo, bits, wd", CONFIGS)
     def test_matches_oracle_across_real_groups(self, algo, bits, wd):
-        n = optim._GROUP + 4096 + 97
+        n = codec._GROUP + 4096 + 97
         cfg = getattr(OptimConfig, algo)(state_bits=bits, weight_decay=wd)
-        layers = (("a", 0, 1000), ("b", 1000, optim._GROUP + 10), ("c", optim._GROUP + 10, n))
+        layers = (("a", 0, 1000), ("b", 1000, codec._GROUP + 10), ("c", codec._GROUP + 10, n))
         _assert_steps_match_oracle(n, cfg, layers, steps=2, seed=bits)
 
-    @pytest.mark.parametrize("n", [300, optim._GROUP + 4096 + 97])
+    @pytest.mark.parametrize("n", [300, codec._GROUP + 4096 + 97])
     @pytest.mark.parametrize("state_bits", [32, 8], ids=["state32", "state8"])
     @pytest.mark.parametrize("bits", [32, 8])
     @pytest.mark.parametrize("algo", ["adam", "lamb"])
@@ -475,14 +489,14 @@ class TestGroupedStep:
         # new m and v codes (1 byte each). Per element of a group: two work
         # buffers and the m and sqrt(v) buffers (16 bytes), and 4 more for
         # the scales and the rest.
-        assert peaks[8] < 6 * n + 20 * optim._GROUP
+        assert peaks[8] < 6 * n + 20 * codec._GROUP
 
     def test_chunks_built_per_step_do_not_grow_with_the_vector(self):
         """An 8-bit step builds the same number of chunks at 3 groups as at 10."""
         cfg = OptimConfig.lamb(state_bits=8, block_size=16)
         built = []
         for groups in (3, 10):
-            n = groups * optim._GROUP
+            n = groups * codec._GROUP
             w = TensorBuf(np.linspace(-1.0, 1.0, n, dtype=np.float32))
             st = init_state(n, cfg)
             with mock.patch.object(
@@ -784,8 +798,12 @@ class TestLayerPartition:
             (("a", 0, 3), ("b", 2, 4)),
             (("a", 1, 4),),
             (("b", 2, 4), ("a", 0, 2)),
+            (("a", 4),),
+            (("a", 0.0, 4.0),),
+            (None,),
         ],
-        ids=["gap-at-end", "past-the-end", "overlap", "gap-at-start", "out-of-order"],
+        ids=["gap-at-end", "past-the-end", "overlap", "gap-at-start", "out-of-order",
+             "two-fields", "float-bounds", "not-a-layer"],
     )
     def test_partition_that_does_not_tile_is_refused(self, layers):
         with pytest.raises(ShapeMismatch):
@@ -794,6 +812,19 @@ class TestLayerPartition:
 
 def _init_state(num_params):
     return init_state(num_params, OptimConfig.lamb(state_bits=8))
+
+
+def _pack_state(state_bits):
+    return pack_state(init_state(3, OptimConfig()), state_bits)
+
+
+def _make_task(name="quadratic", seed=0):
+    return tasks.make_task(name, seed)
+
+
+def _lamb_step(lr):
+    w, cfg = TensorBuf([1.0]), OptimConfig.lamb(state_bits=8)
+    return lamb_step(w, w, init_state(1, cfg), cfg, lr)
 
 
 @pytest.mark.parametrize(
@@ -815,6 +846,7 @@ def _init_state(num_params):
             (OptimConfig, "block_size", "a"),
             (OptimConfig, "block_size", 2.5),
             (ScheduleConfig, "peak_lr", math.nan),
+            (ScheduleConfig, "warmup_fraction", 1.5),
             (ScheduleConfig, "end_lr", math.nan),
             (ScheduleConfig, "total_steps", math.nan),
             (ScheduleConfig, "total_steps", None),
@@ -824,9 +856,50 @@ def _init_state(num_params):
             (codec.CodecPolicy, "block_size", 2.5),
             (_init_state, "num_params", -1),
             (_init_state, "num_params", 2.5),
+            (_pack_state, "state_bits", 16),
+            (_make_task, "seed", "a"),
+            (_make_task, "seed", -1),
+            (_make_task, "seed", None),
+            (_make_task, "name", ["x"]),
+            (_lamb_step, "lr", math.nan),
+            (_lamb_step, "lr", math.inf),
+            (_lamb_step, "lr", -0.1),
+            (_lamb_step, "lr", None),
         ]
     ],
 )
 def test_invalid_config_is_config_error(make, field, value):
     with pytest.raises(ConfigError):
         make(**{field: value})
+
+
+def _q8(n, block_size=8):
+    return init_state(n, OptimConfig.lamb(state_bits=8, block_size=block_size)).m
+
+
+def _fp32(n):
+    return TensorBuf(np.zeros(n, np.float32))
+
+
+@pytest.mark.parametrize(
+    "m, v, step, error",
+    [
+        pytest.param(_fp32(3), _fp32(4), 0, ShapeMismatch, id="fp32-v-longer"),
+        pytest.param(_fp32(4), _fp32(3), 0, ShapeMismatch, id="fp32-v-shorter"),
+        pytest.param(_q8(3), _q8(4), 0, ShapeMismatch, id="q8-v-longer"),
+        pytest.param(_q8(3), _fp32(3), 0, ConfigError, id="m-q8-v-fp32"),
+        pytest.param(_fp32(3), _q8(3), 0, ConfigError, id="m-fp32-v-q8"),
+        pytest.param(_q8(3, 4), _q8(3, 8), 0, ConfigError, id="two-block-sizes"),
+        pytest.param(codec.encode_f16(_fp32(3)), codec.encode_f16(_fp32(3)), 0, ConfigError,
+                     id="f16-chunks"),
+        pytest.param(_fp32(3), _fp32(3), None, ConfigError, id="step=None"),
+        pytest.param(_fp32(3), _fp32(3), -5, ConfigError, id="step=-5"),
+        pytest.param(_fp32(3), _fp32(3), 2.0, ConfigError, id="step=2.0"),
+        pytest.param(_fp32(3), _fp32(3), 2**64, ConfigError, id="step=2**64"),
+    ],
+)
+def test_malformed_state_is_refused(m, v, step, error):
+    """Moments that do not match, or a step the checkpoint cannot hold, are
+    refused when the state is built, not by a later step or save."""
+    with pytest.raises(error):
+        OptimState(m=m, v=v, step=step)

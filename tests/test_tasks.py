@@ -77,3 +77,11 @@ def test_same_seed_same_task(name, kwargs):
     assert a.batch_loss(params, idx) == b.batch_loss(params, idx)
     assert a.layers == b.layers
     assert a.batch_grad_sum(params, idx).tobytes() != other.batch_grad_sum(params, idx).tobytes()
+
+
+@pytest.mark.parametrize("name, kwargs", TASKS)
+def test_full_loss_is_the_mean_over_every_sample(name, kwargs):
+    task = tasks.make_task(name, 2, **kwargs)
+    params = np.linspace(-1.0, 1.0, task.param_dim)
+    per_sample = [task.batch_loss(params, np.array([i])) for i in range(task.n_samples)]
+    assert task.full_loss(params) == pytest.approx(np.mean(per_sample), rel=1e-12)
