@@ -37,8 +37,9 @@ Wire layout (little-endian), the unit an encoded tensor travels in:
     magic "TQC1" | scheme u8 | reserved u8*3 | num_elements u64 |
     block_size u32 | scale_count u32 | scales f32*scale_count | payload
 
-Payload is ``num_elements`` bytes for Q8, ``2*num_elements`` for F16 and
-``4*num_elements`` for F32_RAW.
+``_layout`` gives each scheme's scale count and payload size: Q8 has one
+scale per block and ``num_elements`` payload bytes, F16 no scales and
+``2*num_elements`` bytes, F32_RAW no scales and ``4*num_elements`` bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +71,19 @@ class Scheme(enum.IntEnum):
 
 # Payload element type of each float scheme.
 _FLOAT_DTYPES = {Scheme.F16: np.dtype("<f2"), Scheme.F32_RAW: np.dtype("<f4")}
+
+
+def _layout(scheme: Scheme, n: int, block_size: int) -> tuple[int, int]:
+    """The scale count and the payload bytes of a chunk of n >= 0 elements.
+    An unknown scheme, and for Q8 a block_size that is not an integer >= 1,
+    raise ``MalformedChunk``."""
+    if scheme == Scheme.Q8_BLOCKWISE:
+        if not as_int(block_size) >= 1:
+            raise MalformedChunk("a Q8 block_size must be an integer >= 1")
+        return -(-n // block_size), n
+    if scheme not in _FLOAT_DTYPES:
+        raise MalformedChunk(f"unknown scheme {scheme!r}")
+    return 0, _FLOAT_DTYPES[scheme].itemsize * n
 
 
 @dataclass(frozen=True)
@@ -141,26 +155,15 @@ class QuantizedChunk:
             raise MalformedChunk(f"element count must be an integer in [0, 2**64), got {n!r}")
         if not 0 <= as_int(bs) < 2**32:
             raise MalformedChunk(f"block_size must be an integer in [0, 2**32), got {bs!r}")
-        if self.scheme == Scheme.Q8_BLOCKWISE:
-            if bs < 1:
-                raise MalformedChunk("Q8 chunk needs block_size >= 1")
-            want_scales = -(-n // bs)
-            if scales.size != want_scales:
-                raise MalformedChunk(f"expected {want_scales} scales, got {scales.size}")
-            if len(self.payload) != n:
-                raise MalformedChunk(
-                    f"Q8 payload must be {n} bytes, got {len(self.payload)}"
-                )
-            # a NaN scale fails both comparisons
-            if scales.size and not (scales.min() >= 0 and scales.max() <= _SCALE_MAX):
-                raise MalformedChunk(f"scales must lie in [0, {_SCALE_MAX}]")
-        elif self.scheme in _FLOAT_DTYPES:
-            size = _FLOAT_DTYPES[self.scheme].itemsize * n
-            if scales.size or len(self.payload) != size:
-                raise MalformedChunk(
-                    f"{self.scheme.name} chunk needs no scales and {size} payload "
-                    f"bytes, got {scales.size} and {len(self.payload)}"
-                )
+        want = _layout(self.scheme, n, bs)
+        if (scales.size, len(self.payload)) != want:
+            raise MalformedChunk(
+                f"{self.scheme.name} chunk needs {want[0]} scales and {want[1]} payload "
+                f"bytes, got {scales.size} and {len(self.payload)}"
+            )
+        # only Q8 has scales; a NaN scale fails both comparisons
+        if scales.size and not (scales.min() >= 0 and scales.max() <= _SCALE_MAX):
+            raise MalformedChunk(f"scales must lie in [0, {_SCALE_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -272,11 +275,9 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
     and a fixed amount.
     The chunk keeps the codes array as its payload, read-only.
     """
-    if not as_int(block_size) >= 1:
-        raise MalformedChunk("block_size must be an integer >= 1")
     x, n = t.data, t.num_elements
-    scales = np.empty(-(-n // block_size), np.float32)
-    codes = np.empty(n, np.int8)
+    count, size = _layout(Scheme.Q8_BLOCKWISE, n, block_size)
+    scales, codes = np.empty(count, np.float32), np.empty(size, np.int8)
     pieces = _pieces(n, block_size)
     quot, rounded = np.empty((2, max((b - a for a, b in pieces), default=0)), np.float32)
     for start, stop in pieces:
@@ -371,13 +372,8 @@ def encoded_size(scheme: Scheme, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -
     """Wire size in bytes of an n-element chunk, header included."""
     if not as_int(n) >= 0:
         raise MalformedChunk("element count must be an integer >= 0")
-    if scheme == Scheme.Q8_BLOCKWISE:
-        if not as_int(block_size) >= 1:
-            raise MalformedChunk("block_size must be an integer >= 1")
-        return HEADER_BYTES + n + 4 * (-(-n // block_size))
-    if scheme in _FLOAT_DTYPES:
-        return HEADER_BYTES + _FLOAT_DTYPES[scheme].itemsize * n
-    raise MalformedChunk(f"unknown scheme {scheme!r}")
+    scale_count, payload_bytes = _layout(scheme, n, block_size)
+    return HEADER_BYTES + 4 * scale_count + payload_bytes
 
 
 def chunk_header(c: QuantizedChunk) -> bytes:

@@ -18,7 +18,8 @@ class NonFiniteInput(SwarmError):
 
 
 class NonFiniteGradient(SwarmError):
-    """A gradient produced or received during training is not finite."""
+    """A gradient produced or received during training is not finite, or
+    has a magnitude of 2**64 or more, whose square overflows fp32."""
 
 
 class MalformedChunk(SwarmError):
@@ -55,8 +56,10 @@ class ConfigError(SwarmError):
 
 
 def as_int(value):
-    """``value`` if it is an integer (Python or numpy), else NaN."""
-    return value if type(value) is int or isinstance(value, numbers.Integral) else math.nan
+    """``value`` if it is an integer (Python or numpy), else NaN; a bool is
+    not an integer here, though Python makes it a subclass of int."""
+    integer = type(value) is int or isinstance(value, numbers.Integral) and type(value) is not bool
+    return value if integer else math.nan
 
 
 def as_real(value):

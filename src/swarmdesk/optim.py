@@ -187,9 +187,9 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     if not as_int(num_params) >= 0:
         raise ConfigError("num_params must be an integer >= 0")
     if cfg.state_bits == 8:
-        n, bs = num_params, cfg.block_size
-        scales = np.zeros(-(-n // bs), np.float32)
-        zeros = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, bs, scales, bytes(n))
+        q8, n, bs = Scheme.Q8_BLOCKWISE, num_params, cfg.block_size
+        count, size = codec._layout(q8, n, bs)
+        zeros = QuantizedChunk(q8, n, bs, np.zeros(count, np.float32), bytes(size))
     else:
         zeros = TensorBuf(np.zeros(num_params, np.float32))
     return OptimState(m=zeros, v=zeros, step=0)
@@ -240,8 +240,10 @@ def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
     if w.num_elements != g.num_elements:
         raise ShapeMismatch(f"weights have {w.num_elements} elements, gradient {g.num_elements}")
     _require_state_fits(st, w)
-    if g.data.size and not np.isfinite(g.data).all():
-        raise NonFiniteGradient("gradient contains NaN or Inf")
+    # 2**64 is the least fp32 magnitude whose square, and so v, overflows;
+    # NaN fails this comparison too
+    if g.data.size and not max(g.data.max(), -g.data.min()) < 2.0**64:
+        raise NonFiniteGradient("gradient contains NaN, Inf or a magnitude >= 2**64")
 
 
 def _partition(layers, n: int) -> list[tuple[int, int]]:
@@ -304,8 +306,9 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
     work = np.empty((4, max((b - a for a, b in pieces), default=0)), np.float32)
     r = np.empty(n, np.float32)
     if out8:
-        m_codes, v_codes = np.empty(n, np.int8), np.empty(n, np.int8)
-        m_scales, v_scales = np.empty(-(-n // bs), np.float32), np.empty(-(-n // bs), np.float32)
+        count, size = codec._layout(Scheme.Q8_BLOCKWISE, n, bs)
+        m_codes, v_codes = np.empty(size, np.int8), np.empty(size, np.int8)
+        m_scales, v_scales = np.empty(count, np.float32), np.empty(count, np.float32)
     else:
         new_m, new_v = np.empty(n, np.float32), np.empty(n, np.float32)
     for start, stop in pieces:
@@ -325,8 +328,8 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
         np.multiply(gg, gg, out=t1)
         np.multiply(one - b2, t1, out=t1)
         np.add(np.multiply(b2, v_old, out=v), t1, out=v)
-        mhat = np.divide(m, c1, out=t1) if cfg.beta1 > 0 else m
-        vhat = np.divide(v, c2, out=t2) if cfg.beta2 > 0 else v
+        # a zero beta makes c exactly 1, and the division exact
+        mhat, vhat = np.divide(m, c1, out=t1), np.divide(v, c2, out=t2)
         # r = mhat / (sqrt(vhat) + eps) + wd * w
         np.add(np.sqrt(vhat, out=t2), eps, out=t2)
         direction = np.divide(mhat, t2, out=t1)
@@ -401,11 +404,13 @@ def optimizer_step(
 CKPT_MAGIC = b"TOPT"
 CKPT_VERSION = 3
 # Header per version. Version 2 appended the state's block_size (u32);
-# version 3 drops the tier byte and the transfer counter of versions 1 and
-# 2, which held no data, and ends the file with a CRC-32 of all bytes before it.
+# version 3 drops the tier byte (with its 3 pad bytes) and the transfer
+# counter of versions 1 and 2, which held no data, and ends the file with a
+# CRC-32 of all bytes before it. Versions 1 and 2 read those two fields as
+# pad bytes (4x, 8x), so every version unpacks into the same fields.
 _CKPT_HEADS = {
-    1: struct.Struct("<4sHBBQB3x6dQ"),
-    2: struct.Struct("<4sHBBQB3x6dQI"),
+    1: struct.Struct("<4sHBBQ4x6d8x"),
+    2: struct.Struct("<4sHBBQ4x6d8xI"),
     3: struct.Struct("<4sHBBQ6dI"),
 }
 
@@ -502,10 +507,7 @@ def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
         raise MalformedChunk(f"checkpoint shorter than its header: {len(buf)} bytes")
     if version >= 3 and zlib.crc32(memoryview(buf)[:end]) != int.from_bytes(buf[end:], "little"):
         raise ChecksumMismatch("checkpoint bytes do not match their CRC-32")
-    fields = head.unpack_from(buf)
-    if version < 3:  # skip the tier byte and the transfer counter
-        fields = fields[:5] + fields[6:12] + fields[13:]
-    _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, *block = fields
+    _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, *block = head.unpack_from(buf)
     # The weights are decoded into a copy below, so they may view the file;
     # the 8-bit moments are kept, so they must hold only their own bytes.
     w_chunk, off = _read_chunk(memoryview(buf), head.size, end)

@@ -10,6 +10,8 @@ tensor boundary. Everything is a deterministic function of (seed, config).
 from __future__ import annotations
 
 import inspect
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -92,21 +94,22 @@ _MLP_IN, _MLP_HIDDEN = 4, 16
 def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
     """Two-layer tanh regression net with backprop gradients.
 
-    Flat layout: W1 (hidden x in), b1, W2 (1 x hidden), b2.
+    ``shapes`` is the flat layout, in order: W1 (hidden x in), b1,
+    W2 (1 x hidden), b2. The layers, their slices, the parameter count and
+    the size of the initial draw all come from it.
     """
     if not as_int(n_samples) >= 1:
         raise ConfigError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     d_in, h = _MLP_IN, _MLP_HIDDEN
+    shapes = {"w1": (h, d_in), "b1": (h,), "w2": (1, h), "b2": (1,)}
+    edges = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
+    layers = tuple(zip(shapes, edges, edges[1:]))
+    s_w1, s_b1, s_w2, s_b2 = (slice(start, stop) for _, start, stop in layers)
+    dim = edges[-1]
     x = rng.standard_normal((n_samples, d_in))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 1] * x[:, 2]
-    init = rng.standard_normal(h * d_in + h + h + 1) * 0.2
-
-    s_w1 = slice(0, h * d_in)
-    s_b1 = slice(s_w1.stop, s_w1.stop + h)
-    s_w2 = slice(s_b1.stop, s_b1.stop + h)
-    s_b2 = slice(s_w2.stop, s_w2.stop + 1)
-    dim = s_b2.stop
+    init = rng.standard_normal(dim) * 0.2
 
     def unpack(params):
         return (params[s_w1].reshape(h, d_in), params[s_b1],
@@ -146,12 +149,7 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
         init_params=init,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
-        layers=(
-            ("w1", s_w1.start, s_w1.stop),
-            ("b1", s_b1.start, s_b1.stop),
-            ("w2", s_w2.start, s_w2.stop),
-            ("b2", s_b2.start, s_b2.stop),
-        ),
+        layers=layers,
     )
 
 

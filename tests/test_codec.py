@@ -56,7 +56,7 @@ class TestSelectScheme:
             else:
                 assert not seen_q8, "scheme flipped back below threshold"
 
-    @pytest.mark.parametrize("n", [-1, None, 2.5])
+    @pytest.mark.parametrize("n", [-1, None, 2.5, True])
     def test_malformed_counts_are_refused(self, n):
         with pytest.raises(MalformedChunk):
             codec.select_scheme(n)
@@ -162,7 +162,7 @@ class TestQuantizeQ8:
             with pytest.raises(NonFiniteInput):
                 codec.quantize_q8(TensorBuf([1.0, bad]), 4)
 
-    @pytest.mark.parametrize("block_size", [0, 2.5, None])
+    @pytest.mark.parametrize("block_size", [0, 2.5, None, True])
     def test_rejects_malformed_block_size(self, block_size):
         with pytest.raises(MalformedChunk):
             codec.quantize_q8(TensorBuf([1.0]), block_size)
@@ -237,6 +237,7 @@ class TestDequantizeQ8:
             pytest.param(Scheme.Q8_BLOCKWISE, 3, 2.5, [0.0, 0.0], bytes(3), id="q8-block_size=2.5"),
             pytest.param(Scheme.Q8_BLOCKWISE, 3, 0, [], bytes(3), id="q8-block_size=0"),
             pytest.param(Scheme.Q8_BLOCKWISE, 3, 2**32, [0.0], bytes(3), id="q8-block_size=2**32"),
+            pytest.param(Scheme.Q8_BLOCKWISE, 3, True, [0.0] * 3, bytes(3), id="q8-block_size=True"),
             pytest.param(Scheme.Q8_BLOCKWISE, None, 4, [0.0], bytes(3), id="num_elements=None"),
             pytest.param(Scheme.Q8_BLOCKWISE, -1, 4, [], b"", id="num_elements=-1"),
             pytest.param(Scheme.Q8_BLOCKWISE, 2**64, 4, [], b"", id="num_elements=2**64"),
@@ -349,7 +350,9 @@ class TestEncodedSize:
     def test_f16_empty(self):
         assert codec.encoded_size(Scheme.F16, 0) == codec.HEADER_BYTES
 
-    @pytest.mark.parametrize("n, block_size", [(10, 0), (10, 2.5), (-1, 8), (None, 8)])
+    @pytest.mark.parametrize(
+        "n, block_size", [(10, 0), (10, 2.5), (-1, 8), (None, 8), (10, True), (True, 8)]
+    )
     def test_malformed_sizes_are_refused(self, n, block_size):
         with pytest.raises(MalformedChunk):
             codec.encoded_size(Scheme.Q8_BLOCKWISE, n, block_size)
@@ -542,6 +545,46 @@ def test_q8_near_ties_match_oracle(mantissa, exponent, near):
     s = float(top / np.float32(127))
     x = np.array([top] + [(k + 0.5) * s * (1 + j * 2.0**-24) for k, j in near], np.float32)
     _assert_same_q8(x, x.size)
+
+
+# A block whose absmax is 127 * _TIE_SCALE has the scale _TIE_SCALE, and
+# its x = (k + 1/2) * _TIE_SCALE * (1 + j * 2**-24) lie on or next to ties.
+_TIE_SCALE = float(np.float32(127 * 12582917 * 2.0**-30) / np.float32(127))
+_NEAR_TIE = st.builds(
+    lambda k, j: (k + 0.5) * _TIE_SCALE * (1 + j * 2.0**-24),
+    st.integers(-127, 126),
+    st.integers(-3, 3),
+)
+_ODD_VALUES = [0.0, -0.0, 2.0**-149, -(2.0**-149), 2.0**-126, 2.0**126, -(2.0**126), 65504.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    block_size=st.integers(min_value=1, max_value=70),
+    group=st.sampled_from([1, 5, 64, codec._GROUP]),
+)
+def test_encoding_is_deterministic(data, block_size, group):
+    """An input, a copy of it and a strided view of it encode to the same
+    wire bytes under every scheme. Values are zeros of both signs,
+    subnormals, large magnitudes, or blocks of near-ties."""
+    if data.draw(st.booleans(), label="near_ties"):
+        x = np.array(data.draw(st.lists(_NEAR_TIE, max_size=300)), np.float32)
+        x[::block_size] = 127 * _TIE_SCALE
+    else:
+        plain = st.floats(-(2.0**126), 2.0**126, width=32) | st.sampled_from(_ODD_VALUES)
+        x = np.array(data.draw(st.lists(plain, max_size=300)), np.float32)
+    strided = np.zeros((x.size, 3), np.float32)
+    strided[:, 1] = x
+    encoders = [
+        lambda t: codec.quantize_q8(t, block_size),
+        lambda t: codec.encode_f16(TensorBuf(np.clip(t.data, -codec.F16_MAX, codec.F16_MAX))),
+        codec.encode_f32,
+    ]
+    with mock.patch.object(codec, "_GROUP", group):
+        for encode in encoders:
+            wire = [codec.chunk_to_bytes(encode(TensorBuf(v))) for v in (x, x.copy(), strided[:, 1])]
+            assert wire[0] == wire[1] == wire[2]
 
 
 @settings(max_examples=100, deadline=None)

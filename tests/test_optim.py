@@ -75,7 +75,7 @@ class TestSchedule:
 
     def test_out_of_range(self):
         s = ScheduleConfig(total_steps=10)
-        for step in (-1, 11, None, 2.5):
+        for step in (-1, 11, None, 2.5, True):
             with pytest.raises(StepOutOfRange):
                 lr_at(step, s)
 
@@ -158,6 +158,22 @@ class TestAdam:
         with pytest.raises(NonFiniteGradient):
             adam_step(TensorBuf([0.0]),
                       TensorBuf([np.nan]), st, cfg, 0.1)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("bits", [32, 8])
+    def test_gradient_whose_square_overflows_is_refused(self, bits, sign):
+        """A finite |g| >= 2**64 squares to Inf in fp32, which would freeze
+        its weight for good; the largest fp32 below 2**64 steps from a fresh
+        state to a finite state."""
+        cfg = OptimConfig.adam(state_bits=bits)
+        w, st = TensorBuf(np.ones(4, np.float32)), init_state(4, cfg)
+        with pytest.raises(NonFiniteGradient):
+            adam_step(w, TensorBuf([sign * 2.0**64, 1.0, 1.0, 1.0]), st, cfg, 0.1)
+        below = np.nextafter(np.float32(2.0**64), np.float32(0.0))
+        new_w, new_st = adam_step(w, TensorBuf([sign * below, 1.0, 1.0, 1.0]), st, cfg, 0.1)
+        new_st = unpack_state(new_st)
+        for buf in (new_w, new_st.m, new_st.v):
+            assert np.isfinite(buf.data).all()
 
     def test_deterministic(self):
         cfg = OptimConfig.adam(weight_decay=0.01)
@@ -349,12 +365,17 @@ class TestCheckpoint:
             optim.load_checkpoint(path)
 
 
+# The version 1 and 2 headers as they were written, with the tier byte and
+# the transfer counter that the reader skips.
+_OLD_HEADS = {1: struct.Struct("<4sHBBQB3x6dQ"), 2: struct.Struct("<4sHBBQB3x6dQI")}
+
+
 def _as_version(raw: bytes, version: int) -> bytes:
     """A version 3 checkpoint in the layout of version 1 or 2: no CRC, and a
-    tier byte and transfer counter that the reader must skip."""
+    nonzero tier byte and transfer counter that the reader must skip."""
     head = optim._CKPT_HEADS[3]
     magic, _, algo, bits, step, *floats, block = head.unpack_from(raw)
-    old = optim._CKPT_HEADS[version].pack(
+    old = _OLD_HEADS[version].pack(
         magic, version, algo, bits, step, 1, *floats, 12345, *([block] if version == 2 else [])
     )
     return old + raw[head.size : -4]
@@ -432,6 +453,19 @@ class TestGroupedStep:
         cfg = getattr(OptimConfig, algo)(state_bits=bits, weight_decay=wd)
         layers = (("a", 0, 1000), ("b", 1000, codec._GROUP + 10), ("c", codec._GROUP + 10, n))
         _assert_steps_match_oracle(n, cfg, layers, steps=2, seed=bits)
+
+    @pytest.mark.parametrize("bits", [32, 8])
+    @pytest.mark.parametrize("algo", ["adam", "lamb"])
+    @pytest.mark.parametrize("beta1, beta2", [(0.0, 0.95), (0.9, 0.0), (0.0, 0.0)])
+    def test_zero_betas_match_oracle(self, beta1, beta2, algo, bits):
+        """With a zero beta the step divides by 1 - 0**step, exactly 1,
+        where the oracle skips the division: the bits are the same."""
+        cfg = getattr(OptimConfig, algo)(
+            beta1=beta1, beta2=beta2, state_bits=bits, block_size=8, weight_decay=0.01
+        )
+        layers = (("a", 0, 50), ("b", 50, 203))
+        with mock.patch.object(codec, "_GROUP", 64):
+            _assert_steps_match_oracle(203, cfg, layers, steps=3, seed=5)
 
     @pytest.mark.parametrize("n", [300, codec._GROUP + 4096 + 97])
     @pytest.mark.parametrize("state_bits", [32, 8], ids=["state32", "state8"])
@@ -845,21 +879,26 @@ def _lamb_step(lr):
             (OptimConfig, "block_size", 0),
             (OptimConfig, "block_size", "a"),
             (OptimConfig, "block_size", 2.5),
+            (OptimConfig, "block_size", True),
             (ScheduleConfig, "peak_lr", math.nan),
             (ScheduleConfig, "warmup_fraction", 1.5),
             (ScheduleConfig, "end_lr", math.nan),
             (ScheduleConfig, "total_steps", math.nan),
             (ScheduleConfig, "total_steps", None),
+            (ScheduleConfig, "total_steps", True),
             (codec.CodecPolicy, "q8_threshold", 0),
             (codec.CodecPolicy, "block_size", math.nan),
             (codec.CodecPolicy, "block_size", None),
             (codec.CodecPolicy, "block_size", 2.5),
+            (codec.CodecPolicy, "block_size", True),
             (_init_state, "num_params", -1),
             (_init_state, "num_params", 2.5),
+            (_init_state, "num_params", True),
             (_pack_state, "state_bits", 16),
             (_make_task, "seed", "a"),
             (_make_task, "seed", -1),
             (_make_task, "seed", None),
+            (_make_task, "seed", True),
             (_make_task, "name", ["x"]),
             (_lamb_step, "lr", math.nan),
             (_lamb_step, "lr", math.inf),
@@ -896,6 +935,7 @@ def _fp32(n):
         pytest.param(_fp32(3), _fp32(3), -5, ConfigError, id="step=-5"),
         pytest.param(_fp32(3), _fp32(3), 2.0, ConfigError, id="step=2.0"),
         pytest.param(_fp32(3), _fp32(3), 2**64, ConfigError, id="step=2**64"),
+        pytest.param(_fp32(3), _fp32(3), True, ConfigError, id="step=True"),
     ],
 )
 def test_malformed_state_is_refused(m, v, step, error):

@@ -1,6 +1,9 @@
 """Tasks: keyword arguments are checked, gradients match finite differences,
 and a seed fixes the task."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from swarmdesk.errors import ConfigError
         pytest.param("logreg", {"dimm": 5}, "dimm", id="logreg"),
         pytest.param("tiny_mlp", {"dimm": 5}, "dimm", id="tiny_mlp"),
         pytest.param("quadratic", {"dim": 2.5}, "dim", id="quadratic-dim=2.5"),
+        pytest.param("quadratic", {"dim": True}, "dim", id="quadratic-dim=True"),
         pytest.param("quadratic", {"n_samples": 0}, "n_samples", id="quadratic-n_samples=0"),
         pytest.param("logreg", {"n_samples": None}, "n_samples", id="logreg-n_samples=None"),
         pytest.param("logreg", {"dim": "a"}, "dim", id="logreg-dim=a"),
@@ -77,6 +81,24 @@ def test_same_seed_same_task(name, kwargs):
     assert a.batch_loss(params, idx) == b.batch_loss(params, idx)
     assert a.layers == b.layers
     assert a.batch_grad_sum(params, idx).tobytes() != other.batch_grad_sum(params, idx).tobytes()
+
+
+def test_tiny_mlp_bytes_are_pinned():
+    """``make_tiny_mlp(0)``'s initial parameters, layers, one gradient sum
+    and one loss hash to a fixed digest, so any change to its flat layout
+    or its draws shows (digest taken with numpy 2.4 on x86-64)."""
+    task = tasks.make_tiny_mlp(0)
+    params = np.linspace(-1.0, 1.0, task.param_dim)
+    idx = np.arange(0, task.n_samples, 3)
+    digest = hashlib.sha256()
+    for part in (
+        task.init_params.astype("<f8").tobytes(),
+        repr(task.layers).encode(),
+        task.batch_grad_sum(params, idx).astype("<f8").tobytes(),
+        struct.pack("<d", task.batch_loss(params, idx)),
+    ):
+        digest.update(part)
+    assert digest.hexdigest() == "112ba59cad03e44d24f22df1785c0eeced49a2c858f8e6e4ae449a48f3ae80c2"
 
 
 @pytest.mark.parametrize("name, kwargs", TASKS)
