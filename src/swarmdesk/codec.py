@@ -77,13 +77,15 @@ def _layout(scheme: Scheme, n: int, block_size: int) -> tuple[int, int]:
     """The scale count and the payload bytes of a chunk of n >= 0 elements.
     An unknown scheme, and for Q8 a block_size that is not an integer >= 1,
     raise ``MalformedChunk``."""
-    if scheme == Scheme.Q8_BLOCKWISE:
-        if not as_int(block_size) >= 1:
+    tag = as_int(scheme)
+    if tag == Scheme.Q8_BLOCKWISE:
+        block_size = as_int(block_size)
+        if not block_size >= 1:
             raise MalformedChunk("a Q8 block_size must be an integer >= 1")
         return -(-n // block_size), n
-    if scheme not in _FLOAT_DTYPES:
+    if tag not in _FLOAT_DTYPES:
         raise MalformedChunk(f"unknown scheme {scheme!r}")
-    return 0, _FLOAT_DTYPES[scheme].itemsize * n
+    return 0, _FLOAT_DTYPES[tag].itemsize * n
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ class QuantizedChunk:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "scheme", Scheme(self.scheme))
+            object.__setattr__(self, "scheme", Scheme(as_int(self.scheme)))
         except ValueError:
             raise MalformedChunk(f"unknown scheme {self.scheme!r}") from None
         try:
@@ -150,11 +152,15 @@ class QuantizedChunk:
         scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
         # the ranges the wire header holds; a non-integer becomes NaN and fails
-        n, bs = self.num_elements, self.block_size
-        if not 0 <= as_int(n) < 2**64:
-            raise MalformedChunk(f"element count must be an integer in [0, 2**64), got {n!r}")
-        if not 0 <= as_int(bs) < 2**32:
-            raise MalformedChunk(f"block_size must be an integer in [0, 2**32), got {bs!r}")
+        n, bs = as_int(self.num_elements), as_int(self.block_size)
+        if not 0 <= n < 2**64:
+            got = self.num_elements
+            raise MalformedChunk(f"element count must be an integer in [0, 2**64), got {got!r}")
+        if not 0 <= bs < 2**32:
+            got = self.block_size
+            raise MalformedChunk(f"block_size must be an integer in [0, 2**32), got {got!r}")
+        object.__setattr__(self, "num_elements", n)
+        object.__setattr__(self, "block_size", bs)
         want = _layout(self.scheme, n, bs)
         if (scales.size, len(self.payload)) != want:
             raise MalformedChunk(
@@ -180,15 +186,19 @@ class CodecPolicy:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not as_int(self.q8_threshold) >= 1:
+        q8_threshold, block_size = as_int(self.q8_threshold), as_int(self.block_size)
+        if not q8_threshold >= 1:
             raise ConfigError("q8_threshold must be an integer >= 1")
-        if not as_int(self.block_size) >= 1:
+        if not block_size >= 1:
             raise ConfigError("block_size must be an integer >= 1")
+        object.__setattr__(self, "q8_threshold", q8_threshold)
+        object.__setattr__(self, "block_size", block_size)
 
 
 def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
     """Pick the wire scheme for an n-element tensor (pure threshold, monotone)."""
-    if not as_int(n) >= 0:
+    n = as_int(n)
+    if not n >= 0:
         raise MalformedChunk("element count must be an integer >= 0")
     if policy.lossless:
         return Scheme.F32_RAW
@@ -275,7 +285,7 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
     and a fixed amount.
     The chunk keeps the codes array as its payload, read-only.
     """
-    x, n = t.data, t.num_elements
+    x, n, block_size = t.data, t.num_elements, as_int(block_size)
     count, size = _layout(Scheme.Q8_BLOCKWISE, n, block_size)
     scales, codes = np.empty(count, np.float32), np.empty(size, np.int8)
     pieces = _pieces(n, block_size)
@@ -370,7 +380,8 @@ def decode(c: QuantizedChunk) -> TensorBuf:
 
 def encoded_size(scheme: Scheme, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     """Wire size in bytes of an n-element chunk, header included."""
-    if not as_int(n) >= 0:
+    n = as_int(n)
+    if not n >= 0:
         raise MalformedChunk("element count must be an integer >= 0")
     scale_count, payload_bytes = _layout(scheme, n, block_size)
     return HEADER_BYTES + 4 * scale_count + payload_bytes

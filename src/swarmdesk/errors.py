@@ -50,18 +50,27 @@ class ConfigError(SwarmError):
 
 # A setting is checked as ``if not lo <= as_int(x): raise ...``: a value of
 # the wrong type (None, a string, 2.5 where a count belongs) becomes NaN,
-# which fails the comparison, instead of raising TypeError. Both coercions
-# test the exact built-in type first: an isinstance test against a numbers
-# ABC takes about 0.4 us, and an optimizer step makes two per layer.
+# which fails the comparison, instead of raising TypeError. A caller keeps
+# the coerced value, so a numpy integer goes on as a Python int, whose
+# arithmetic neither wraps nor overflows. Both coercions test the exact
+# built-in type first: an isinstance test against a numbers ABC takes about
+# 0.4 us, and an optimizer step makes two per layer.
 
 
 def as_int(value):
-    """``value`` if it is an integer (Python or numpy), else NaN; a bool is
-    not an integer here, though Python makes it a subclass of int."""
-    integer = type(value) is int or isinstance(value, numbers.Integral) and type(value) is not bool
-    return value if integer else math.nan
+    """``value`` if it is an int (an ``IntEnum`` member too), ``int(value)``
+    if it is a numpy integer, else NaN; a bool is not an integer here,
+    though Python makes it a subclass of int."""
+    if type(value) is int:
+        return value
+    if isinstance(value, int):  # an IntEnum member, or a bool
+        return math.nan if type(value) is bool else value
+    return int(value) if isinstance(value, numbers.Integral) else math.nan
 
 
 def as_real(value):
-    """``value`` if it is a real number (Python or numpy), else NaN."""
-    return value if type(value) is float or isinstance(value, numbers.Real) else math.nan
+    """``value`` if it is a real number (Python or numpy) other than a bool,
+    else NaN."""
+    if type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool:
+        return value
+    return math.nan

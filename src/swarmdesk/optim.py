@@ -76,8 +76,10 @@ class ScheduleConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not as_int(self.total_steps) >= 1:
+        total_steps = as_int(self.total_steps)
+        if not total_steps >= 1:
             raise ConfigError("total_steps must be an integer >= 1")
+        object.__setattr__(self, "total_steps", total_steps)
         if not 0.0 <= as_real(self.warmup_fraction) <= 1.0:
             raise ConfigError("warmup_fraction must be in [0, 1]")
         if not 0.0 < as_real(self.peak_lr) < math.inf:
@@ -94,6 +96,7 @@ def lr_at(step: int, s: ScheduleConfig) -> float:
     """Learning rate at a step; piecewise linear, peak hit exactly at warmup end."""
     if not 0 <= as_int(step) <= s.total_steps:
         raise StepOutOfRange(f"step {step} outside [0, {s.total_steps}]")
+    step = as_int(step)
     w = s.warmup_steps
     if step < w:
         return s.peak_lr * (step / w)
@@ -116,7 +119,7 @@ class OptimConfig:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "algorithm", Algorithm(self.algorithm))
+            object.__setattr__(self, "algorithm", Algorithm(as_int(self.algorithm)))
         except ValueError:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}") from None
         # each check is written so that NaN fails it
@@ -129,10 +132,13 @@ class OptimConfig:
         clip = self.trust_clip if isinstance(self.trust_clip, (tuple, list)) else ()
         if not (len(clip) == 2 and as_real(clip[0]) <= as_real(clip[1])):
             raise ConfigError("trust_clip must be a pair (min, max) with min <= max")
-        if as_int(self.state_bits) not in (32, 8):
+        state_bits, block_size = as_int(self.state_bits), as_int(self.block_size)
+        if state_bits not in (32, 8):
             raise ConfigError("state_bits must be 32 or 8")
-        if not as_int(self.block_size) >= 1:
+        if not block_size >= 1:
             raise ConfigError("block_size must be an integer >= 1")
+        object.__setattr__(self, "state_bits", state_bits)
+        object.__setattr__(self, "block_size", block_size)
 
     @classmethod
     def adam(cls, **kw) -> "OptimConfig":
@@ -166,8 +172,10 @@ class OptimState:
             raise ConfigError("m and v must both be fp32 or both Q8 chunks in one block size")
         if m.num_elements != v.num_elements:
             raise ShapeMismatch(f"m has {m.num_elements} elements, v {v.num_elements}")
-        if not 0 <= as_int(self.step) < 2**64:
+        step = as_int(self.step)
+        if not 0 <= step < 2**64:
             raise ConfigError(f"step must be an integer in [0, 2**64), got {self.step!r}")
+        object.__setattr__(self, "step", step)
 
     @property
     def packed(self) -> bool:
@@ -184,7 +192,8 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     Zero 8-bit state is built directly, all scales 0 and all codes 0, which
     is what quantizing zeros gives; m and v share the one read-only chunk.
     """
-    if not as_int(num_params) >= 0:
+    num_params = as_int(num_params)
+    if not num_params >= 0:
         raise ConfigError("num_params must be an integer >= 0")
     if cfg.state_bits == 8:
         q8, n, bs = Scheme.Q8_BLOCKWISE, num_params, cfg.block_size
@@ -197,6 +206,7 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
 
 def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_SIZE) -> OptimState:
     """Encode moments per state_bits. 8-bit packs m directly and v via sqrt."""
+    state_bits, block_size = as_int(state_bits), as_int(block_size)
     if state_bits == 32:
         return unpack_state(st)
     if state_bits != 8:
@@ -256,10 +266,11 @@ def _partition(layers, n: int) -> list[tuple[int, int]]:
             _name, start, stop = layer
         except (TypeError, ValueError):
             raise ShapeMismatch(f"layer {layer!r} is not (name, start, stop)") from None
+        start, stop = as_int(start), as_int(stop)
         bounds.append((start, stop))
         # once a layer does not continue the partition, or a bound is not an
-        # integer, end stays NaN
-        end = stop if end == as_int(start) <= as_int(stop) <= n else math.nan
+        # integer (NaN in the message), end stays NaN
+        end = stop if end == start <= stop <= n else math.nan
     if end != n:
         raise ShapeMismatch(f"layers {bounds} do not tile [0, {n}) in order")
     return bounds

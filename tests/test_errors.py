@@ -3,6 +3,7 @@ malformed settings are refused with one of them."""
 
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,19 +46,26 @@ _ODD = [
 ]
 
 
+_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
 def _malformed(ints):
     """Values a caller might pass in place of a setting: bools, None,
-    strings, NaN, infinities, numpy scalars, tuples, ``ints`` and any float.
-    Unsigned numpy integers are left out until sizes become Python ints at
-    the boundary: ``-(-n // block_size)`` of a ``np.uint64`` still raises a
-    bare OverflowError."""
-    return st.sampled_from(_ODD) | ints | st.floats()
+    strings, NaN, infinities, numpy scalars, tuples, ``ints``, unsigned
+    numpy integers and integral floats no larger than ``ints`` draws, and
+    any float."""
+    unsigned = st.builds(lambda t, v: t(min(abs(v), np.iinfo(t).max)),
+                         st.sampled_from(_UNSIGNED), ints)
+    return (st.sampled_from(_ODD) | st.booleans() | ints | unsigned
+            | ints.map(float) | st.floats())
 
 
 _ZEROS = codec.TensorBuf(np.zeros(5, np.float32))
 _SCHEDULE = optim.ScheduleConfig(total_steps=10)
+_STATE = optim.OptimState(m=_ZEROS, v=_ZEROS)
 
-# name: (call, {keyword: valid values})
+# name: (call, {keyword: valid values}); a call with each keyword's first
+# value reads every keyword (so Q8 comes first: only Q8 reads block_size)
 _SETTINGS = {
     "OptimConfig": (optim.OptimConfig, {
         "algorithm": [0, 1], "beta1": [0.0, 0.9], "beta2": [0.0, 0.999], "epsilon": [1e-8],
@@ -77,10 +85,18 @@ _SETTINGS = {
     "lr_at": (lambda step: optim.lr_at(step, _SCHEDULE), {"step": [0, 5, 10]}),
     "select_scheme": (codec.select_scheme, {"n": [0, 65536]}),
     "encoded_size": (codec.encoded_size, {
-        "scheme": list(codec.Scheme), "n": [0, 5000], "block_size": [1, 4096],
+        "scheme": sorted(codec.Scheme, key=lambda s: s != codec.Scheme.Q8_BLOCKWISE),
+        "n": [0, 5000], "block_size": [1, 4096],
     }),
     "quantize_q8": (lambda block_size: codec.quantize_q8(_ZEROS, block_size),
                     {"block_size": [1, 2, 4096]}),
+    "pack_state": (lambda state_bits, block_size: optim.pack_state(_STATE, state_bits, block_size),
+                   {"state_bits": [8, 32], "block_size": [1, 4096]}),
+    "QuantizedChunk": (
+        lambda scheme, num_elements, block_size: codec.QuantizedChunk(
+            scheme, num_elements, block_size, np.ones(2, np.float32), bytes(5)),
+        {"scheme": [codec.Scheme.Q8_BLOCKWISE], "num_elements": [5], "block_size": [3, 4]},
+    ),
 }
 
 
@@ -105,6 +121,68 @@ def test_malformed_settings_raise_swarm_errors(name, data):
         for key, values in valid.items()
     }
     _succeeds_or_refuses(lambda: call(**kwargs))
+
+
+def _plain(value):
+    """``value`` with each chunk's payload as bytes, whose repr is its
+    content, not a view's address."""
+    if isinstance(value, codec.QuantizedChunk):
+        return replace(value, payload=bytes(value.payload))
+    if isinstance(value, optim.OptimState):
+        return replace(value, m=_plain(value.m), v=_plain(value.v))
+    return value
+
+
+def _outcome(call):
+    """The repr of what ``call`` returns, or the type of the SwarmError it
+    raises."""
+    try:
+        return repr(_plain(call()))
+    except SwarmError as e:
+        return type(e)
+
+
+# Each integer or enum keyword of _SETTINGS, and each real one; the others
+# (a pair, a flag) take neither kind of value.
+_INTEGRAL = [(name, key) for name, (_, valid) in _SETTINGS.items() for key, values in valid.items()
+             if all(type(v) is not bool and isinstance(v, int) for v in values)]
+_REAL = [(name, key) for name, (_, valid) in _SETTINGS.items() for key, values in valid.items()
+         if all(type(v) is float for v in values)]
+
+
+@pytest.mark.parametrize("name, key", _INTEGRAL)
+def test_integer_settings_refuse_bools_and_floats_and_take_numpy_integers(name, key):
+    """A bool or a float, even an integral one, is refused where an integer
+    or enum belongs; a numpy integer, unsigned too, acts as the Python int
+    it equals, and is kept as that int."""
+    call, valid = _SETTINGS[name]
+    kwargs = {k: values[0] for k, values in valid.items()}
+    for value in valid[key]:
+        for bad in (True, False, np.bool_(value), float(value), np.float64(value)):
+            with pytest.raises(SwarmError):
+                call(**{**kwargs, key: bad})
+        want = _outcome(lambda: call(**{**kwargs, key: int(value)}))
+        for t in (np.int64, *_UNSIGNED):
+            if np.iinfo(t).min <= value <= np.iinfo(t).max:
+                assert _outcome(lambda: call(**{**kwargs, key: t(value)})) == want, t
+
+
+@pytest.mark.parametrize("name, key", _REAL)
+def test_real_settings_refuse_bools(name, key):
+    call, valid = _SETTINGS[name]
+    kwargs = {k: values[0] for k, values in valid.items()}
+    for bad in (True, False, np.bool_(True)):
+        with pytest.raises(SwarmError):
+            call(**{**kwargs, key: bad})
+
+
+def test_bool_trust_clip_and_lr_are_refused():
+    with pytest.raises(SwarmError):
+        optim.OptimConfig(trust_clip=(False, True))
+    w = codec.TensorBuf(np.ones(4, np.float32))
+    st0 = optim.init_state(4, optim.OptimConfig())
+    with pytest.raises(SwarmError):
+        optim.optimizer_step(w, w, st0, optim.OptimConfig(), True)
 
 
 # Each task's size keywords; their sizes stay small enough to build.

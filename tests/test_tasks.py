@@ -2,7 +2,9 @@
 and a seed fixes the task."""
 
 import hashlib
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,3 +109,74 @@ def test_full_loss_is_the_mean_over_every_sample(name, kwargs):
     params = np.linspace(-1.0, 1.0, task.param_dim)
     per_sample = [task.batch_loss(params, np.array([i])) for i in range(task.n_samples)]
     assert task.full_loss(params) == pytest.approx(np.mean(per_sample), rel=1e-12)
+
+
+def _logreg_data(n_samples, dim, seed):
+    """``make_logreg``'s features and labels, drawn the same way."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
+    x = rng.standard_normal((n_samples, dim))
+    y = np.where(x @ rng.standard_normal(dim) >= 0.0, 1.0, -1.0)
+    return x, y
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None, 10**6], ids=["1", "3", "default", "batch+"])
+def test_logreg_row_blocks_match_the_unblocked_formula(monkeypatch, block_rows):
+    """Whatever the block size, the blocked loss and gradient sum are the
+    whole-batch float64 formulas up to rounding. The batch is unsorted,
+    repeats indices and is no multiple of 3 rows; at dim 1024 the default
+    block is 128 rows, so the 300-row batch takes three blocks."""
+    n, dim, seed = 200, 1024, 1
+    if block_rows is not None:
+        monkeypatch.setattr(tasks, "_BLOCK_BYTES", 8 * dim * block_rows)
+    task = tasks.make_logreg(n, dim, seed)
+    x, y = _logreg_data(n, dim, seed)
+    rng = np.random.default_rng(5)
+    idx = np.concatenate([rng.integers(0, n, 290), [7, 7, 7, 0, 199, 3, 3, 150, 7, 42]])
+    params = rng.standard_normal(dim) * 0.05
+    z = y[idx] * (x[idx] @ params)
+    loss = np.mean(np.logaddexp(0.0, -z))
+    terms = (-y[idx] / (1.0 + np.exp(z)))[:, None] * x[idx]
+    grad = np.sum(terms, axis=0)
+    # a sum reordered in float64 may differ by rounding in each term, so each
+    # component is held to 1e-12 of its terms' magnitude, not its own: one
+    # that cancels to near 0 keeps the rounding of its larger terms
+    error = np.abs(task.batch_grad_sum(params, idx) - grad)
+    assert (error <= 1e-12 * np.sum(np.abs(terms), axis=0)).all()
+    assert task.batch_loss(params, idx) == pytest.approx(loss, rel=1e-12)
+    assert task.batch_loss(params, list(idx)) == task.batch_loss(params, idx)
+
+
+def test_logreg_memory_is_one_row_block_whatever_the_batch():
+    """On a 4096 x 512 task (16 MiB of features) the gradient sum of the
+    whole batch holds one 1 MiB block of rows and the output at a time,
+    not the gathered batch; the full loss holds one block and the
+    batch's margins."""
+    n, dim = 4096, 512
+    task = tasks.make_logreg(n, dim, 0)
+    params = np.linspace(-0.1, 0.1, dim)
+    idx = np.arange(n)[::-1].copy()
+    block = tasks._BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        task.batch_grad_sum(params, idx)
+        grad_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        task.full_loss(params)
+        loss_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slack = 64 * 1024  # a block's margins and coefficients, the interpreter's own
+    assert grad_peak <= block + 8 * dim + slack
+    assert loss_peak <= block + 3 * 8 * n + slack  # margins, -z, their logaddexp
+
+
+def test_logreg_empty_batch():
+    """An empty batch sums to a zero gradient; its mean loss is numpy's
+    mean of nothing, NaN with a warning, as for the whole-batch formula."""
+    task = tasks.make_logreg(10, 3, 0)
+    params = np.ones(3)
+    for empty in ([], np.array([], np.int64)):
+        grad = task.batch_grad_sum(params, empty)
+        assert grad.shape == (3,) and not grad.any()
+        with pytest.warns(RuntimeWarning):
+            assert math.isnan(task.batch_loss(params, empty))
