@@ -6,7 +6,7 @@ peers' gradient sums and dividing by their sample count is exactly the
 batch gradient. Task math runs in float64; the caller casts to fp32 at the
 tensor boundary. Everything is a deterministic function of (seed, config).
 
-Logistic regression walks a batch in blocks of rows of about 1 MiB of
+Logistic regression walks a batch in blocks of rows of about 4 MiB of
 features, so its transient memory is one block (and, for the loss, the
 batch's margins), whatever the batch size; the other tasks are small enough
 to take a batch whole.
@@ -65,16 +65,21 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
     )
 
 
-# Bytes of features per row block of logistic regression. A 1024-row batch
-# at dim 2048 ran about equally fast with blocks of 256 KiB to 4 MiB, and a
-# block fits in a 2 MiB L2 cache.
-_BLOCK_BYTES = 1 << 20
+# Bytes of features per row block of logistic regression: 256 rows at dim
+# 2048, four blocks to a 1024-row batch. Blocks of 1 MiB stay in a 2 MiB L2
+# cache and ran about 25% faster on perfbench's logreg_adam32_f16, but the
+# speed of L2-bound work drifts with the load on a shared core and not with
+# memory speed, so the benchmark's reference kernel (a row gather and two
+# matrix-vector products streamed from memory) could not scale that drift
+# out: samples_per_s spread 4.9% over 10 runs of 30 s, 2.1% with 2 MiB
+# blocks and 1.0-2.4% with these, which stream like the kernel.
+_BLOCK_BYTES = 1 << 22
 
 
 def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
     """Binary logistic regression on linearly separable synthetic data.
 
-    A batch is walked in blocks of rows of about 1 MiB of ``x``
+    A batch is walked in blocks of rows of about 4 MiB of ``x``
     (``_BLOCK_BYTES``; at least one row). Each block's rows are gathered
     once; one matrix-vector product gives its margins and, for the gradient,
     a second adds the block's gradient sum into one ``dim`` vector. A block

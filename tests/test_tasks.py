@@ -123,9 +123,9 @@ def _logreg_data(n_samples, dim, seed):
 def test_logreg_row_blocks_match_the_unblocked_formula(monkeypatch, block_rows):
     """Whatever the block size, the blocked loss and gradient sum are the
     whole-batch float64 formulas up to rounding. The batch is unsorted,
-    repeats indices and is no multiple of 3 rows; at dim 1024 the default
+    repeats indices and is no multiple of 3 rows; at dim 4096 the default
     block is 128 rows, so the 300-row batch takes three blocks."""
-    n, dim, seed = 200, 1024, 1
+    n, dim, seed = 200, 4096, 1
     if block_rows is not None:
         monkeypatch.setattr(tasks, "_BLOCK_BYTES", 8 * dim * block_rows)
     task = tasks.make_logreg(n, dim, seed)
@@ -148,7 +148,7 @@ def test_logreg_row_blocks_match_the_unblocked_formula(monkeypatch, block_rows):
 
 def test_logreg_memory_is_one_row_block_whatever_the_batch():
     """On a 4096 x 512 task (16 MiB of features) the gradient sum of the
-    whole batch holds one 1 MiB block of rows and the output at a time,
+    whole batch holds one 4 MiB block of rows and the output at a time,
     not the gathered batch; the full loss holds one block and the
     batch's margins."""
     n, dim = 4096, 512
