@@ -4,8 +4,8 @@
 their wire format. ``optim``: Adam and LAMB with a warmup/decay schedule,
 optimizer state kept in fp32 or 8 bits, and a resumable checkpoint.
 ``tasks``: closed-form training tasks with analytic gradients that stand in
-for the model. ``errors``: the exception types, and the coercions that
-the range checks of settings use.
+for the model. ``errors``: the exception types, and the coercions and the
+range check that settings go through.
 """
 
 __version__ = "0.1.0"

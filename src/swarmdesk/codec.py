@@ -50,7 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MalformedChunk, NonFiniteInput, OverflowToInfinity, as_int
+from .errors import (
+    ConfigError, MalformedChunk, NonFiniteInput, OverflowToInfinity, as_int, checked_int,
+)
 
 MAGIC = b"TQC1"
 _HEADER = struct.Struct("<4sB3xQII")
@@ -61,6 +63,7 @@ DEFAULT_BLOCK_SIZE = 4096
 # The largest Q8 scale whose 127 * scale is finite in fp32. Only an absmax
 # of the fp32 maximum itself gets a larger one.
 _SCALE_MAX = np.float32(2.6793884e36)
+_SCALE_MAX_BITS = _SCALE_MAX.view(np.uint32)
 
 
 class Scheme(enum.IntEnum):
@@ -79,9 +82,7 @@ def _layout(scheme: Scheme, n: int, block_size: int) -> tuple[int, int]:
     raise ``MalformedChunk``."""
     tag = as_int(scheme)
     if tag == Scheme.Q8_BLOCKWISE:
-        block_size = as_int(block_size)
-        if not block_size >= 1:
-            raise MalformedChunk("a Q8 block_size must be an integer >= 1")
+        block_size = checked_int(block_size, "block_size", MalformedChunk, lo=1)
         return -(-n // block_size), n
     if tag not in _FLOAT_DTYPES:
         raise MalformedChunk(f"unknown scheme {scheme!r}")
@@ -151,25 +152,21 @@ class QuantizedChunk:
             raise MalformedChunk(f"scales must be a vector, got {scales.ndim} dimensions")
         scales.flags.writeable = False
         object.__setattr__(self, "scales", scales)
-        # the ranges the wire header holds; a non-integer becomes NaN and fails
-        n, bs = as_int(self.num_elements), as_int(self.block_size)
-        if not 0 <= n < 2**64:
-            got = self.num_elements
-            raise MalformedChunk(f"element count must be an integer in [0, 2**64), got {got!r}")
-        if not 0 <= bs < 2**32:
-            got = self.block_size
-            raise MalformedChunk(f"block_size must be an integer in [0, 2**32), got {got!r}")
-        object.__setattr__(self, "num_elements", n)
-        object.__setattr__(self, "block_size", bs)
-        want = _layout(self.scheme, n, bs)
+        # the ranges the wire header holds
+        for key, hi in (("num_elements", 2**64), ("block_size", 2**32)):
+            object.__setattr__(self, key, checked_int(getattr(self, key), key, MalformedChunk, 0, hi))
+        want = _layout(self.scheme, self.num_elements, self.block_size)
         if (scales.size, len(self.payload)) != want:
             raise MalformedChunk(
                 f"{self.scheme.name} chunk needs {want[0]} scales and {want[1]} payload "
                 f"bytes, got {scales.size} and {len(self.payload)}"
             )
-        # only Q8 has scales; a NaN scale fails both comparisons
-        if scales.size and not (scales.min() >= 0 and scales.max() <= _SCALE_MAX):
-            raise MalformedChunk(f"scales must lie in [0, {_SCALE_MAX}]")
+        # Only Q8 has scales. Read as unsigned integers, the bit patterns of
+        # the fp32 values in [+0, _SCALE_MAX] keep their order, and every
+        # other value (-0, a negative, Inf, NaN) has a larger one, so one
+        # reduction checks the range.
+        if scales.size and not scales.view(np.uint32).max() <= _SCALE_MAX_BITS:
+            raise MalformedChunk(f"scales must lie in [+0, {_SCALE_MAX}]")
 
 
 @dataclass(frozen=True)
@@ -185,21 +182,13 @@ class CodecPolicy:
     lossless: bool = False
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        q8_threshold, block_size = as_int(self.q8_threshold), as_int(self.block_size)
-        if not q8_threshold >= 1:
-            raise ConfigError("q8_threshold must be an integer >= 1")
-        if not block_size >= 1:
-            raise ConfigError("block_size must be an integer >= 1")
-        object.__setattr__(self, "q8_threshold", q8_threshold)
-        object.__setattr__(self, "block_size", block_size)
+        for key in ("q8_threshold", "block_size"):
+            object.__setattr__(self, key, checked_int(getattr(self, key), key, ConfigError, lo=1))
 
 
 def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
     """Pick the wire scheme for an n-element tensor (pure threshold, monotone)."""
-    n = as_int(n)
-    if not n >= 0:
-        raise MalformedChunk("element count must be an integer >= 0")
+    n = checked_int(n, "n", MalformedChunk)
     if policy.lossless:
         return Scheme.F32_RAW
     return Scheme.Q8_BLOCKWISE if n >= policy.q8_threshold else Scheme.F16
@@ -380,9 +369,7 @@ def decode(c: QuantizedChunk) -> TensorBuf:
 
 def encoded_size(scheme: Scheme, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
     """Wire size in bytes of an n-element chunk, header included."""
-    n = as_int(n)
-    if not n >= 0:
-        raise MalformedChunk("element count must be an integer >= 0")
+    n = checked_int(n, "n", MalformedChunk)
     scale_count, payload_bytes = _layout(scheme, n, block_size)
     return HEADER_BYTES + 4 * scale_count + payload_bytes
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the two coercions that
-range checks of settings use.
+"""Exception types shared across the package, the two coercions that
+range checks of settings use, and the one check of integer settings.
 
 Every error the package raises is a subclass of SwarmError, so callers can
 catch one base type at process boundaries.
@@ -48,13 +48,14 @@ class ConfigError(SwarmError):
     """A component configuration violates its invariants."""
 
 
-# A setting is checked as ``if not lo <= as_int(x): raise ...``: a value of
-# the wrong type (None, a string, 2.5 where a count belongs) becomes NaN,
-# which fails the comparison, instead of raising TypeError. A caller keeps
-# the coerced value, so a numpy integer goes on as a Python int, whose
-# arithmetic neither wraps nor overflows. Both coercions test the exact
-# built-in type first: an isinstance test against a numbers ABC takes about
-# 0.4 us, and an optimizer step makes two per layer.
+# ``checked_int`` reads each integer setting that must lie in a range. A
+# value of the wrong type (None, a string, 2.5 where a count belongs)
+# becomes NaN, which fails the range test, so it is refused with the
+# caller's error instead of a TypeError. The caller keeps the returned
+# value, so a numpy integer goes on as a Python int, whose arithmetic
+# neither wraps nor overflows. Both coercions test the exact built-in type
+# first: an isinstance test against a numbers ABC takes about 0.4 us, and
+# an optimizer step makes two per layer.
 
 
 def as_int(value):
@@ -74,3 +75,12 @@ def as_real(value):
     if type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool:
         return value
     return math.nan
+
+
+def checked_int(value, name, error, lo=0, hi=math.inf):
+    """``as_int(value)`` if that is an integer in [lo, hi); otherwise raise
+    ``error`` with a message that names the setting ``name``."""
+    n = as_int(value)
+    if not lo <= n < hi:
+        raise error(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+    return n

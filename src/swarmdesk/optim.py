@@ -57,6 +57,7 @@ from .errors import (
     StepOutOfRange,
     as_int,
     as_real,
+    checked_int,
 )
 
 
@@ -75,11 +76,9 @@ class ScheduleConfig:
     end_lr: float = 0.0
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        total_steps = as_int(self.total_steps)
-        if not total_steps >= 1:
-            raise ConfigError("total_steps must be an integer >= 1")
+        total_steps = checked_int(self.total_steps, "total_steps", ConfigError, lo=1)
         object.__setattr__(self, "total_steps", total_steps)
+        # each check is written so that NaN fails it
         if not 0.0 <= as_real(self.warmup_fraction) <= 1.0:
             raise ConfigError("warmup_fraction must be in [0, 1]")
         if not 0.0 < as_real(self.peak_lr) < math.inf:
@@ -94,9 +93,9 @@ class ScheduleConfig:
 
 def lr_at(step: int, s: ScheduleConfig) -> float:
     """Learning rate at a step; piecewise linear, peak hit exactly at warmup end."""
-    if not 0 <= as_int(step) <= s.total_steps:
-        raise StepOutOfRange(f"step {step} outside [0, {s.total_steps}]")
-    step = as_int(step)
+    got, step = step, as_int(step)
+    if not 0 <= step <= s.total_steps:
+        raise StepOutOfRange(f"step {got!r} outside [0, {s.total_steps}]")
     w = s.warmup_steps
     if step < w:
         return s.peak_lr * (step / w)
@@ -132,12 +131,11 @@ class OptimConfig:
         clip = self.trust_clip if isinstance(self.trust_clip, (tuple, list)) else ()
         if not (len(clip) == 2 and as_real(clip[0]) <= as_real(clip[1])):
             raise ConfigError("trust_clip must be a pair (min, max) with min <= max")
-        state_bits, block_size = as_int(self.state_bits), as_int(self.block_size)
+        state_bits = as_int(self.state_bits)
         if state_bits not in (32, 8):
             raise ConfigError("state_bits must be 32 or 8")
-        if not block_size >= 1:
-            raise ConfigError("block_size must be an integer >= 1")
         object.__setattr__(self, "state_bits", state_bits)
+        block_size = checked_int(self.block_size, "block_size", ConfigError, lo=1)
         object.__setattr__(self, "block_size", block_size)
 
     @classmethod
@@ -172,10 +170,7 @@ class OptimState:
             raise ConfigError("m and v must both be fp32 or both Q8 chunks in one block size")
         if m.num_elements != v.num_elements:
             raise ShapeMismatch(f"m has {m.num_elements} elements, v {v.num_elements}")
-        step = as_int(self.step)
-        if not 0 <= step < 2**64:
-            raise ConfigError(f"step must be an integer in [0, 2**64), got {self.step!r}")
-        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "step", checked_int(self.step, "step", ConfigError, hi=2**64))
 
     @property
     def packed(self) -> bool:
@@ -192,9 +187,7 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     Zero 8-bit state is built directly, all scales 0 and all codes 0, which
     is what quantizing zeros gives; m and v share the one read-only chunk.
     """
-    num_params = as_int(num_params)
-    if not num_params >= 0:
-        raise ConfigError("num_params must be an integer >= 0")
+    num_params = checked_int(num_params, "num_params", ConfigError)
     if cfg.state_bits == 8:
         q8, n, bs = Scheme.Q8_BLOCKWISE, num_params, cfg.block_size
         count, size = codec._layout(q8, n, bs)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, as_int
+from .errors import ConfigError, checked_int
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,8 @@ class Task:
 
 def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
     """loss = 0.5 * ||w - w*||^2 for every sample; grad = w - w*."""
-    if not (as_int(dim) >= 1 and as_int(n_samples) >= 1):
-        raise ConfigError(f"dim and n_samples must be integers >= 1, got {dim!r}, {n_samples!r}")
-    dim, n_samples = as_int(dim), as_int(n_samples)
+    dim = checked_int(dim, "dim", ConfigError, lo=1)
+    n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     w_star = rng.standard_normal(dim)
 
@@ -86,9 +85,8 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
     is freed before the next is gathered, so the transient memory is one
     block, and for the loss the batch's margins, whatever the batch size.
     """
-    if not (as_int(n_samples) >= 1 and as_int(dim) >= 1):
-        raise ConfigError(f"n_samples and dim must be integers >= 1, got {n_samples!r}, {dim!r}")
-    n_samples, dim = as_int(n_samples), as_int(dim)
+    n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
+    dim = checked_int(dim, "dim", ConfigError, lo=1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     x = rng.standard_normal((n_samples, dim))
     w_true = rng.standard_normal(dim)
@@ -135,9 +133,7 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
     W2 (1 x hidden), b2. The layers, their slices, the parameter count and
     the size of the initial draw all come from it.
     """
-    if not as_int(n_samples) >= 1:
-        raise ConfigError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    n_samples = as_int(n_samples)
+    n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     d_in, h = _MLP_IN, _MLP_HIDDEN
     shapes = {"w1": (h, d_in), "b1": (h,), "w2": (1, h), "b2": (1,)}
@@ -210,9 +206,7 @@ def make_task(name: str, seed: int, **kwargs) -> Task:
         raise ConfigError(
             f"unknown task {name!r}; choose from {sorted(_FACTORIES)}"
         ) from None
-    if not as_int(seed) >= 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    seed = as_int(seed)
+    seed = checked_int(seed, "seed", ConfigError)
     try:
         inspect.signature(factory).bind(seed, **kwargs)
     except TypeError as e:

@@ -217,13 +217,22 @@ class TestDequantizeQ8:
                 Scheme.Q8_BLOCKWISE, 8, 4, np.array([1.0], np.float32), bytes(8)
             )
 
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -1.0, 2.6793887e36])
+    @pytest.mark.parametrize("scale", [
+        np.nan, np.inf, -1.0, 2.6793887e36, -0.0, -np.inf,
+        pytest.param(np.uint32(0xFFC00000).view(np.float32), id="nan-with-sign-bit"),
+    ])
     def test_scale_out_of_range_is_malformed(self, scale):
         # 2.6793887e36 is the least scale whose code 127 decodes to Inf
         with pytest.raises(MalformedChunk):
             codec.QuantizedChunk(
                 Scheme.Q8_BLOCKWISE, 2, 4, np.array([scale], np.float32), b"\x7f\x01"
             )
+
+    @pytest.mark.parametrize("scale", [0.0, codec._SCALE_MAX])
+    def test_scale_range_ends_are_accepted(self, scale):
+        scales = np.array([scale, scale], np.float32)
+        c = codec.QuantizedChunk(Scheme.Q8_BLOCKWISE, 5, 4, scales, b"\x7f\x01\x81\x00\x7f")
+        assert np.isfinite(codec.dequantize_q8(c).data).all()
 
     def test_malformed_payload_length(self):
         with pytest.raises(MalformedChunk):

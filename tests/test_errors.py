@@ -3,6 +3,7 @@ malformed settings are refused with one of them."""
 
 import ast
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -63,6 +64,7 @@ def _malformed(ints):
 _ZEROS = codec.TensorBuf(np.zeros(5, np.float32))
 _SCHEDULE = optim.ScheduleConfig(total_steps=10)
 _STATE = optim.OptimState(m=_ZEROS, v=_ZEROS)
+_Q8_CONFIG = optim.OptimConfig(state_bits=8, block_size=4)
 
 # name: (call, {keyword: valid values}); a call with each keyword's first
 # value reads every keyword (so Q8 comes first: only Q8 reads block_size)
@@ -83,6 +85,8 @@ _SETTINGS = {
         lambda step: optim.OptimState(m=_ZEROS, v=_ZEROS, step=step), {"step": [0, 2**64 - 1]}
     ),
     "lr_at": (lambda step: optim.lr_at(step, _SCHEDULE), {"step": [0, 5, 10]}),
+    "init_state": (lambda num_params: optim.init_state(num_params, _Q8_CONFIG),
+                   {"num_params": [0, 5]}),
     "select_scheme": (codec.select_scheme, {"n": [0, 65536]}),
     "encoded_size": (codec.encoded_size, {
         "scheme": sorted(codec.Scheme, key=lambda s: s != codec.Scheme.Q8_BLOCKWISE),
@@ -98,6 +102,9 @@ _SETTINGS = {
         {"scheme": [codec.Scheme.Q8_BLOCKWISE], "num_elements": [5], "block_size": [3, 4]},
     ),
 }
+# Settings whose valid values allocate that many elements; the fuzz draws
+# them at most 100, as it does task sizes.
+_ALLOCATES = {"init_state"}
 
 
 def _succeeds_or_refuses(call):
@@ -115,7 +122,7 @@ def test_malformed_settings_raise_swarm_errors(name, data):
     SwarmError, never a bare TypeError or ValueError."""
     call, valid = _SETTINGS[name]
     bad = data.draw(st.sets(st.sampled_from(sorted(valid))), label="malformed")
-    ints = st.integers(-(2**70), 2**70)
+    ints = st.integers(-3, 100) if name in _ALLOCATES else st.integers(-(2**70), 2**70)
     kwargs = {
         key: data.draw(_malformed(ints) if key in bad else st.sampled_from(values), label=key)
         for key, values in valid.items()
@@ -167,6 +174,23 @@ def test_integer_settings_refuse_bools_and_floats_and_take_numpy_integers(name, 
                 assert _outcome(lambda: call(**{**kwargs, key: t(value)})) == want, t
 
 
+def _assert_names(error, key, keys):
+    """The message of the raised error names ``key`` and no other of ``keys``."""
+    message = str(error.value)
+    assert {k for k in keys if re.search(rf"\b{k}\b", message)} == {key}, message
+
+
+@pytest.mark.parametrize("name, key", _INTEGRAL)
+def test_integer_refusals_name_the_setting(name, key):
+    """A negative integer setting is refused with a message that names its
+    keyword as the caller spells it, and no other keyword."""
+    call, valid = _SETTINGS[name]
+    kwargs = {k: values[0] for k, values in valid.items()}
+    with pytest.raises(SwarmError) as error:
+        call(**{**kwargs, key: -1})
+    _assert_names(error, key, valid)
+
+
 @pytest.mark.parametrize("name, key", _REAL)
 def test_real_settings_refuse_bools(name, key):
     call, valid = _SETTINGS[name]
@@ -201,3 +225,10 @@ def test_malformed_task_settings_raise_swarm_errors(name, data):
     keys = data.draw(st.sets(st.sampled_from([*_TASK_SIZES[name], "dimm"])))
     kwargs = {key: data.draw(_malformed(st.integers(-3, 100)), label=key) for key in sorted(keys)}
     _succeeds_or_refuses(lambda: tasks.make_task(name, seed, **kwargs))
+
+
+@pytest.mark.parametrize("name, key", [(n, k) for n, keys in _TASK_SIZES.items() for k in keys])
+def test_task_size_refusals_name_the_size(name, key):
+    with pytest.raises(SwarmError) as error:
+        tasks.make_task(name, 0, **{key: -1})
+    _assert_names(error, key, _TASK_SIZES[name])
