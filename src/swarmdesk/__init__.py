@@ -2,10 +2,10 @@
 
 ``codec``: blockwise 8-bit (Q8), binary16 and raw fp32 tensor encodings and
 their wire format. ``optim``: Adam and LAMB with a warmup/decay schedule,
-optimizer state kept in fp32 or 8 bits, and a resumable checkpoint.
-``tasks``: closed-form training tasks with analytic gradients that stand in
-for the model. ``errors``: the exception types, and the coercions and the
-range check that settings go through.
+optimizer state kept in fp32 or 8 bits, and a resumable checkpoint, as
+bytes or as a file. ``tasks``: closed-form training tasks with analytic
+gradients that stand in for the model. ``errors``: the exception types, and
+the coercions and the range check that settings go through.
 """
 
 __version__ = "0.1.0"

@@ -29,7 +29,9 @@ Checkpoint file (version 3): magic "TOPT", a fixed config block (version,
 algorithm, state bits, step, betas, epsilon, weight decay, trust clip,
 block_size), the weight, m and v buffers as codec chunks, each
 length-prefixed (u32, little-endian), and a CRC-32 (u32) of every byte
-before it. It is written to a temporary file and renamed into place.
+before it. ``checkpoint_parts`` and ``checkpoint_from_bytes`` are the
+format over bytes; ``save_checkpoint`` writes the parts to a temporary file
+and renames it into place, and ``load_checkpoint`` reads a file back.
 Versions 1 and 2 are still read. The learning-rate schedule and the layer
 partition are not in the file: the caller passes them to every step.
 """
@@ -186,14 +188,21 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
 
     Zero 8-bit state is built directly, all scales 0 and all codes 0, which
     is what quantizing zeros gives; m and v share the one read-only chunk.
+    A size that cannot be allocated raises ``ConfigError``.
     """
     num_params = checked_int(num_params, "num_params", ConfigError)
-    if cfg.state_bits == 8:
-        q8, n, bs = Scheme.Q8_BLOCKWISE, num_params, cfg.block_size
-        count, size = codec._layout(q8, n, bs)
-        zeros = QuantizedChunk(q8, n, bs, np.zeros(count, np.float32), bytes(size))
-    else:
-        zeros = TensorBuf(np.zeros(num_params, np.float32))
+    # Of the calls in the try, only the allocations raise these: a size past
+    # the address space is a ValueError in numpy, and one the host cannot
+    # hold a MemoryError. The constructors raise SwarmErrors.
+    try:
+        if cfg.state_bits == 8:
+            q8, n, bs = Scheme.Q8_BLOCKWISE, num_params, cfg.block_size
+            count, size = codec._layout(q8, n, bs)
+            zeros = QuantizedChunk(q8, n, bs, np.zeros(count, np.float32), bytes(size))
+        else:
+            zeros = TensorBuf(np.zeros(num_params, np.float32))
+    except (ValueError, MemoryError):
+        raise ConfigError(f"num_params {num_params} is too large to allocate") from None
     return OptimState(m=zeros, v=zeros, step=0)
 
 
@@ -445,19 +454,17 @@ def _read_chunk(buf: bytes, off: int, end: int):
     return codec.chunk_from_bytes(buf[start:stop]), stop
 
 
-def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
-    """Write optimizer config, step, weights and moments so a run can resume.
+def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
+    """The checkpoint of ``cfg``, ``st`` and ``w`` as a list of byte parts.
 
-    The learning-rate schedule and the layer partition are not stored: the
-    caller owns them and passes them to every step, before and after a
-    resume. State with another element count than ``w`` raises
-    ``ShapeMismatch`` before anything is written. The file is written
-    beside ``path`` under a ``.tmp`` suffix, flushed to disk and then
-    renamed over ``path``, so a crash while saving leaves the previous
-    checkpoint whole.
-
-    Each part is written as it is, from the chunks' scales and payloads and
-    the weights' own array, and the CRC-32 is carried along as they go.
+    The parts are the header, each chunk's length prefix, its header with
+    the scales and its payload, and last the CRC-32 of all the parts before
+    it; ``b"".join`` of them is the file ``save_checkpoint`` writes. The
+    payload parts view the chunks' payloads and the weights' own array:
+    nothing is joined or copied. The learning-rate schedule and the layer
+    partition are not stored: the caller owns them and passes them to every
+    step, before and after a resume. State with another element count than
+    ``w`` raises ``ShapeMismatch``.
     """
     _require_state_fits(st, w)
     packed = pack_state(st, cfg.state_bits, cfg.block_size)
@@ -470,36 +477,24 @@ def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
     parts = [head]
     for c in (_raw_chunk(w), *moments):
         _write_chunk(parts, c)
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            crc = 0
-            for part in parts:
-                f.write(part)
-                crc = zlib.crc32(part, crc)
-            f.write(struct.pack("<I", crc))
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return [*parts, struct.pack("<I", crc)]
 
 
-def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
-    """Read a checkpoint of version 1, 2 or 3.
+def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
+    """The config, state and weights of a checkpoint of version 1, 2 or 3.
 
-    It returns the config, the state and the weights; the schedule and the
-    layer partition are the caller's, as in ``save_checkpoint``. A version 3
-    file whose CRC-32 does not match raises ``ChecksumMismatch``. Versions 1
-    and 2 carry no checksum; their tier byte and transfer counter are
-    skipped. Version 1 did not store ``block_size``; it is taken from the
-    8-bit state's chunks, and is the default for fp32 state. Any other
-    inconsistency raises ``MalformedChunk``.
+    ``buf`` holds the whole checkpoint, as ``load_checkpoint`` reads it from
+    a file or as ``checkpoint_parts`` joined. A version 3 checkpoint whose
+    CRC-32 does not match raises ``ChecksumMismatch``. Versions 1 and 2
+    carry no checksum; their tier byte and transfer counter are skipped.
+    Version 1 did not store ``block_size``; it is taken from the 8-bit
+    state's chunks, and is the default for fp32 state. Any other
+    inconsistency raises ``MalformedChunk``. When ``buf`` is ``bytes``, the
+    8-bit moments hold only their own bytes, not the rest of ``buf``.
     """
-    with open(path, "rb") as f:
-        buf = f.read()
     if buf[:4] != CKPT_MAGIC:
         raise MalformedChunk("not an optimizer checkpoint (bad magic)")
     version = int.from_bytes(buf[4:6], "little")
@@ -541,3 +536,30 @@ def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
     if bits == 32:
         m_chunk, v_chunk = codec.decode_f32(m_chunk), codec.decode_f32(v_chunk)
     return cfg, OptimState(m=m_chunk, v=v_chunk, step=step), codec.decode_f32(w_chunk)
+
+
+def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):
+    """Write ``checkpoint_parts(cfg, st, w)`` to ``path`` so a run can resume.
+
+    A refused checkpoint (``ShapeMismatch``, ``NonFiniteInput``) writes
+    nothing. The parts are written beside ``path`` under a ``.tmp`` suffix,
+    flushed to disk and then renamed over ``path``, so a crash while saving
+    leaves the previous checkpoint whole.
+    """
+    parts, tmp = checkpoint_parts(cfg, st, w), os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(parts)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def load_checkpoint(path) -> tuple[OptimConfig, OptimState, TensorBuf]:
+    """Read the checkpoint file at ``path`` with ``checkpoint_from_bytes``."""
+    with open(path, "rb") as f:
+        return checkpoint_from_bytes(f.read())

@@ -1,9 +1,9 @@
 """Closed-form training tasks standing in for the real model.
 
 Each task gives the mean loss and the analytic sum of per-sample gradients
-of any batch of sample indices over a flat parameter vector, so summing
-peers' gradient sums and dividing by their sample count is exactly the
-batch gradient. Task math runs in float64; the caller casts to fp32 at the
+of any non-empty batch of sample indices over a flat parameter vector, so
+summing peers' gradient sums and dividing by their sample count is exactly
+the batch gradient. Task math runs in float64; the caller casts to fp32 at the
 tensor boundary. Everything is a deterministic function of (seed, config).
 
 Logistic regression walks a batch in blocks of rows of about 4 MiB of
@@ -27,7 +27,6 @@ from .errors import ConfigError, checked_int
 
 @dataclass(frozen=True)
 class Task:
-    name: str
     param_dim: int
     n_samples: int
     init_params: np.ndarray
@@ -39,14 +38,23 @@ class Task:
         return self.batch_loss(params, np.arange(self.n_samples))
 
 
+def _require_samples(indices):
+    """Every task's ``batch_loss`` refuses an empty batch, whose mean loss
+    is undefined; its ``batch_grad_sum`` is the zero vector."""
+    if len(indices) == 0:
+        raise ConfigError("batch_loss of an empty batch: a mean over no samples")
+
+
 def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
     """loss = 0.5 * ||w - w*||^2 for every sample; grad = w - w*."""
     dim = checked_int(dim, "dim", ConfigError, lo=1)
     n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
+    seed = checked_int(seed, "seed", ConfigError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     w_star = rng.standard_normal(dim)
 
     def batch_loss(params, indices):
+        _require_samples(indices)
         d = params - w_star
         return 0.5 * float(d @ d)
 
@@ -54,7 +62,6 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
         return (params - w_star) * float(len(indices))
 
     return Task(
-        name="quadratic",
         param_dim=dim,
         n_samples=n_samples,
         init_params=np.zeros(dim, np.float64),
@@ -87,6 +94,7 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
     """
     n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
     dim = checked_int(dim, "dim", ConfigError, lo=1)
+    seed = checked_int(seed, "seed", ConfigError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     x = rng.standard_normal((n_samples, dim))
     w_true = rng.standard_normal(dim)
@@ -100,6 +108,7 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
         return coef @ xb
 
     def batch_loss(params, indices):
+        _require_samples(indices)
         z = np.empty(len(indices))
         for start in range(0, len(indices), rows):
             ib = indices[start : start + rows]
@@ -113,7 +122,6 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
         return out
 
     return Task(
-        name="logreg",
         param_dim=dim,
         n_samples=n_samples,
         init_params=np.zeros(dim, np.float64),
@@ -130,54 +138,48 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
     """Two-layer tanh regression net with backprop gradients.
 
     ``shapes`` is the flat layout, in order: W1 (hidden x in), b1,
-    W2 (1 x hidden), b2. The layers, their slices, the parameter count and
-    the size of the initial draw all come from it.
+    W2 (1 x hidden), b2. The layers, the parameter views, the order of the
+    gradient, the parameter count and the size of the initial draw all come
+    from it.
     """
     n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
+    seed = checked_int(seed, "seed", ConfigError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
     d_in, h = _MLP_IN, _MLP_HIDDEN
     shapes = {"w1": (h, d_in), "b1": (h,), "w2": (1, h), "b2": (1,)}
     edges = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
     layers = tuple(zip(shapes, edges, edges[1:]))
-    s_w1, s_b1, s_w2, s_b2 = (slice(start, stop) for _, start, stop in layers)
     dim = edges[-1]
     x = rng.standard_normal((n_samples, d_in))
     y = np.sin(x[:, 0]) + 0.5 * x[:, 1] * x[:, 2]
     init = rng.standard_normal(dim) * 0.2
 
     def unpack(params):
-        return (params[s_w1].reshape(h, d_in), params[s_b1],
-                params[s_w2].reshape(1, h), params[s_b2])
+        return {name: params[start:stop].reshape(shapes[name]) for name, start, stop in layers}
 
-    def forward(params, xi):
-        w1, b1, w2, b2 = unpack(params)
-        a = np.tanh(xi @ w1.T + b1)
-        return (a @ w2.T + b2)[:, 0], a
+    def forward(weights, xi):
+        a = np.tanh(xi @ weights["w1"].T + weights["b1"])
+        return (a @ weights["w2"].T + weights["b2"])[:, 0], a
 
     def batch_loss(params, indices):
-        pred, _ = forward(params, x[indices])
+        _require_samples(indices)
+        pred, _ = forward(unpack(params), x[indices])
         r = pred - y[indices]
         return 0.5 * float(np.mean(r * r))
 
     def batch_grad_sum(params, indices):
-        w1, b1, w2, b2 = unpack(params)
+        weights = unpack(params)
         xi = x[indices]
-        pred, a = forward(params, xi)
+        pred, a = forward(weights, xi)
         r = pred - y[indices]  # d loss_i / d pred_i
         g_w2 = r @ a  # (h,)
         g_b2 = np.sum(r)
-        da = r[:, None] * w2[0][None, :] * (1.0 - a * a)
+        da = r[:, None] * weights["w2"][0][None, :] * (1.0 - a * a)
         g_w1 = da.T @ xi
         g_b1 = np.sum(da, axis=0)
-        out = np.empty(dim)
-        out[s_w1] = g_w1.reshape(-1)
-        out[s_b1] = g_b1
-        out[s_w2] = g_w2
-        out[s_b2] = g_b2
-        return out
+        return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])  # in the order of shapes
 
     return Task(
-        name="tiny_mlp",
         param_dim=dim,
         n_samples=n_samples,
         init_params=init,
@@ -206,7 +208,6 @@ def make_task(name: str, seed: int, **kwargs) -> Task:
         raise ConfigError(
             f"unknown task {name!r}; choose from {sorted(_FACTORIES)}"
         ) from None
-    seed = checked_int(seed, "seed", ConfigError)
     try:
         inspect.signature(factory).bind(seed, **kwargs)
     except TypeError as e:

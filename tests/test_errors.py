@@ -61,6 +61,13 @@ def _malformed(ints):
             | ints.map(float) | st.floats())
 
 
+def _grad_at_init(task):
+    """The task's gradient sum over all its samples at its initial
+    parameters: an array, whose repr shows its values, where a Task's
+    closures repr by their addresses."""
+    return task.batch_grad_sum(task.init_params, np.arange(task.n_samples))
+
+
 _ZEROS = codec.TensorBuf(np.zeros(5, np.float32))
 _SCHEDULE = optim.ScheduleConfig(total_steps=10)
 _STATE = optim.OptimState(m=_ZEROS, v=_ZEROS)
@@ -101,10 +108,22 @@ _SETTINGS = {
             scheme, num_elements, block_size, np.ones(2, np.float32), bytes(5)),
         {"scheme": [codec.Scheme.Q8_BLOCKWISE], "num_elements": [5], "block_size": [3, 4]},
     ),
+    "make_quadratic": (
+        lambda dim, seed, n_samples: _grad_at_init(tasks.make_quadratic(dim, seed, n_samples)),
+        {"dim": [1, 5], "seed": [0, 7], "n_samples": [1, 10]},
+    ),
+    "make_logreg": (
+        lambda n_samples, dim, seed: _grad_at_init(tasks.make_logreg(n_samples, dim, seed)),
+        {"n_samples": [1, 10], "dim": [1, 5], "seed": [0, 7]},
+    ),
+    "make_tiny_mlp": (
+        lambda seed, n_samples: _grad_at_init(tasks.make_tiny_mlp(seed, n_samples)),
+        {"seed": [0, 7], "n_samples": [1, 10]},
+    ),
 }
 # Settings whose valid values allocate that many elements; the fuzz draws
 # them at most 100, as it does task sizes.
-_ALLOCATES = {"init_state"}
+_ALLOCATES = {"init_state", "make_quadratic", "make_logreg", "make_tiny_mlp"}
 
 
 def _succeeds_or_refuses(call):

@@ -747,9 +747,10 @@ class TestCheckpointFormat:
 def test_resumed_run_matches_uninterrupted_run(
     algo, bits, wd, n, block_size, before, after, cuts, seed
 ):
-    """save -> load -> k more steps gives the bytes of k uninterrupted steps.
-    The schedule and the layer partition are the caller's and are passed in
-    on both paths."""
+    """save -> load -> k more steps gives the bytes of k uninterrupted steps,
+    whether the checkpoint travels as a file or as the joined bytes of
+    ``checkpoint_parts``. The schedule and the layer partition are the
+    caller's and are passed in on every path."""
     cfg = getattr(OptimConfig, algo)(state_bits=bits, block_size=block_size, weight_decay=wd)
     sched = ScheduleConfig(total_steps=before + after, warmup_fraction=0.5, peak_lr=0.01)
     edges = sorted({0, n, *(min(c, n) for c in cuts)})
@@ -768,24 +769,70 @@ def test_resumed_run_matches_uninterrupted_run(
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "c.topt")
         optim.save_checkpoint(path, cfg, st, w)
-        cfg2, st2, w2 = optim.load_checkpoint(path)
-    assert cfg2 == cfg
+        resumed = [optim.load_checkpoint(path)]
+    resumed.append(optim.checkpoint_from_bytes(b"".join(optim.checkpoint_parts(cfg, st, w))))
     w, st = run(w, st, cfg, after)
-    w2, st2 = run(w2, st2, cfg2, after)
-    assert w2.data.tobytes() == w.data.tobytes()
-    assert _same_state(st2, st)
+    for cfg2, st2, w2 in resumed:  # the file, then the bytes
+        assert cfg2 == cfg
+        w2, st2 = run(w2, st2, cfg2, after)
+        assert w2.data.tobytes() == w.data.tobytes()
+        assert _same_state(st2, st)
+
+
+@pytest.mark.parametrize("algo, bits", [(a, b) for a in ("adam", "lamb") for b in (32, 8)])
+@settings(max_examples=25, deadline=None)
+@given(
+    n=hs.integers(0, 300),
+    block_size=hs.sampled_from([1, 3, 64, 4096]),
+    steps=hs.integers(0, 2),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_checkpoint_bytes_are_the_file(algo, bits, n, block_size, steps, seed):
+    """The joined parts are the bytes ``save_checkpoint`` writes, and
+    ``checkpoint_from_bytes`` reads back what ``load_checkpoint`` reads."""
+    cfg = getattr(OptimConfig, algo)(state_bits=bits, block_size=block_size)
+    rng = np.random.default_rng(seed)
+    w, st = TensorBuf(rng.standard_normal(n).astype(np.float32)), init_state(n, cfg)
+    for _ in range(steps):
+        g = TensorBuf(rng.standard_normal(n).astype(np.float32))
+        w, st = optim.optimizer_step(w, g, st, cfg, 0.01)
+    raw = b"".join(optim.checkpoint_parts(cfg, st, w))
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "c.topt")
+        optim.save_checkpoint(path, cfg, st, w)
+        with open(path, "rb") as f:
+            assert f.read() == raw
+        cfg2, st2, w2 = optim.load_checkpoint(path)
+    cfg3, st3, w3 = optim.checkpoint_from_bytes(raw)
+    assert cfg3 == cfg2 == cfg
+    assert w3.data.tobytes() == w2.data.tobytes() == w.data.tobytes()
+    assert _same_state(st3, st2) and _same_state(st3, st)
+
+
+@pytest.mark.parametrize("bits", [32, 8])
+def test_checkpoint_parts_view_the_payloads(bits):
+    """The weights' and the moments' parts view their arrays: no payload is
+    copied on the way to the file."""
+    cfg = OptimConfig.lamb(state_bits=bits, block_size=8)
+    w = TensorBuf(np.arange(1.0, 101.0, dtype=np.float32))
+    _, st = lamb_step(w, w, init_state(100, cfg), cfg, 0.01)
+    parts = optim.checkpoint_parts(cfg, st, w)
+    moments = (st.m.payload, st.v.payload) if st.packed else (st.m.data, st.v.data)
+    assert len(parts) == 11  # header, 3 x (length, chunk header, payload), CRC-32
+    for part, source in zip(parts[3::3], (w.data, *moments)):
+        assert np.shares_memory(np.frombuffer(part, np.uint8), np.frombuffer(source, np.uint8))
 
 
 @pytest.fixture(scope="module")
 def saved_checkpoint(tmp_path_factory):
-    """A directory to write into and one small 8-bit LAMB checkpoint's bytes."""
+    """One small 8-bit LAMB checkpoint's bytes, as ``save_checkpoint`` writes them."""
     cfg = OptimConfig.lamb(state_bits=8, block_size=4)
     rng = np.random.default_rng(71)
     w = TensorBuf(rng.standard_normal(10).astype(np.float32))
     w, st = lamb_step(w, w, init_state(10, cfg), cfg, 0.01)
     path = tmp_path_factory.mktemp("fuzz") / "c.topt"
     optim.save_checkpoint(path, cfg, st, w)
-    return path.parent, path.read_bytes()
+    return path.read_bytes()
 
 
 @pytest.mark.parametrize("version, fix_crc", [(2, False), (3, False), (3, True)],
@@ -793,20 +840,19 @@ def saved_checkpoint(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(data=hs.data())
 def test_mangled_checkpoint_raises_only_swarm_errors(saved_checkpoint, version, fix_crc, data):
-    """Cut, byte-mutated and extended files are refused with a SwarmError or
-    load. With the CRC fixed up after the damage, a version 3 file gets past
-    the checksum to the structural checks."""
-    folder, raw = saved_checkpoint
+    """Cut, byte-mutated and extended checkpoints are refused with a
+    SwarmError or load. With the CRC fixed up after the damage, a version 3
+    checkpoint gets past the checksum to the structural checks. The file
+    read path is covered by the truncation, trailing-byte and CRC tests."""
+    raw = saved_checkpoint
     body = bytearray(_as_version(raw, 2) if version == 2 else raw[:-4] if fix_crc else raw)
     for at, byte in data.draw(
         hs.lists(hs.tuples(hs.integers(0, len(body) - 1), hs.integers(0, 255)), max_size=8)
     ):
         body[at] = byte
     body = bytes(body[: data.draw(hs.integers(0, len(body)))]) + data.draw(hs.binary(max_size=64))
-    path = folder / "mangled.topt"
-    path.write_bytes(_with_crc(body) if fix_crc else body)
     try:
-        optim.load_checkpoint(path)
+        optim.checkpoint_from_bytes(_with_crc(body) if fix_crc else body)
     except SwarmError:
         pass
 
@@ -856,6 +902,18 @@ def _make_task(name="quadratic", seed=0):
     return tasks.make_task(name, seed)
 
 
+def _make_quadratic(seed):
+    return tasks.make_quadratic(5, seed)
+
+
+def _make_logreg(seed):
+    return tasks.make_logreg(5, 3, seed)
+
+
+def _init_state_fp32(num_params):
+    return init_state(num_params, OptimConfig())
+
+
 def _lamb_step(lr):
     w, cfg = TensorBuf([1.0]), OptimConfig.lamb(state_bits=8)
     return lamb_step(w, w, init_state(1, cfg), cfg, lr)
@@ -894,12 +952,17 @@ def _lamb_step(lr):
             (_init_state, "num_params", -1),
             (_init_state, "num_params", 2.5),
             (_init_state, "num_params", True),
+            (_init_state, "num_params", 2**62),
+            (_init_state_fp32, "num_params", 2**62),
             (_pack_state, "state_bits", 16),
             (_make_task, "seed", "a"),
             (_make_task, "seed", -1),
             (_make_task, "seed", None),
             (_make_task, "seed", True),
             (_make_task, "name", ["x"]),
+            (_make_quadratic, "seed", "a"),
+            (_make_logreg, "seed", -1),
+            (tasks.make_tiny_mlp, "seed", None),
             (_lamb_step, "lr", math.nan),
             (_lamb_step, "lr", math.inf),
             (_lamb_step, "lr", -0.1),

@@ -2,7 +2,6 @@
 and a seed fixes the task."""
 
 import hashlib
-import math
 import struct
 import tracemalloc
 
@@ -170,13 +169,14 @@ def test_logreg_memory_is_one_row_block_whatever_the_batch():
     assert loss_peak <= block + 3 * 8 * n + slack  # margins, -z, their logaddexp
 
 
-def test_logreg_empty_batch():
-    """An empty batch sums to a zero gradient; its mean loss is numpy's
-    mean of nothing, NaN with a warning, as for the whole-batch formula."""
-    task = tasks.make_logreg(10, 3, 0)
-    params = np.ones(3)
+@pytest.mark.parametrize("name, kwargs", TASKS)
+def test_empty_batch(name, kwargs):
+    """An empty batch sums to a zero gradient; its mean loss is undefined
+    and refused with ConfigError by every task."""
+    task = tasks.make_task(name, 0, **kwargs)
+    params = np.ones(task.param_dim)
     for empty in ([], np.array([], np.int64)):
         grad = task.batch_grad_sum(params, empty)
-        assert grad.shape == (3,) and not grad.any()
-        with pytest.warns(RuntimeWarning):
-            assert math.isnan(task.batch_loss(params, empty))
+        assert grad.shape == (task.param_dim,) and not grad.any()
+        with pytest.raises(ConfigError, match="empty batch"):
+            task.batch_loss(params, empty)
