@@ -4,7 +4,8 @@ Two working schemes plus a raw passthrough:
 
 * ``Q8_BLOCKWISE`` — blockwise absmax linear quantization. A tensor is cut
   into fixed-size blocks; each block stores one fp32 scale (absmax / 127)
-  and one signed byte per element. Worst-case reconstruction error is half
+  and one signed byte per element, a code in [-127, 127]; a chunk with the
+  code -128 is malformed. Worst-case reconstruction error is half
   a scale per element plus fp32 and float64 rounding
   (``roundtrip_error_bound``). Blocks whose absmax is zero store scale 0
   and decode to exact zeros. A block whose 127 * scale would overflow fp32
@@ -167,6 +168,11 @@ class QuantizedChunk:
         # reduction checks the range.
         if scales.size and not scales.view(np.uint32).max() <= _SCALE_MAX_BITS:
             raise MalformedChunk(f"scales must lie in [+0, {_SCALE_MAX}]")
+        # A chunk with scales is Q8 and has codes. The encoder never writes
+        # -128, which would decode beyond roundtrip_error_bound, and to -Inf
+        # at the largest scale.
+        if scales.size and np.frombuffer(self.payload, np.int8).min() == -128:
+            raise MalformedChunk("Q8 codes must lie in [-127, 127], got -128")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Exception types shared across the package, the two coercions that
-range checks of settings use, and the one check of integer settings.
+range checks of settings use, the one check of integer settings, and the
+one refusal of a size that cannot be allocated.
 
 Every error the package raises is a subclass of SwarmError, so callers can
 catch one base type at process boundaries.
 """
 
+import contextlib
 import math
 import numbers
 
@@ -84,3 +86,15 @@ def checked_int(value, name, error, lo=0, hi=math.inf):
     if not lo <= n < hi:
         raise error(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
     return n
+
+
+@contextlib.contextmanager
+def allocating(size: str):
+    """Raise ``ConfigError`` naming ``size`` when an allocation in the block
+    fails: numpy raises ``ValueError`` for a size past the address space,
+    and ``MemoryError`` for one the host cannot hold. Wrap only statements
+    whose other errors are ``SwarmError``s."""
+    try:
+        yield
+    except (ValueError, MemoryError):
+        raise ConfigError(f"{size} is too large to allocate") from None

@@ -2,10 +2,7 @@
 
 All moment math runs in 32-bit: when the state is stored 8-bit it is
 decoded, updated, and encoded again each step, so the drift per step is
-bounded by the codec's error bound. The second moment is quantized through
-its square root (a signed symmetric codebook wastes half its range on a
-non-negative quantity otherwise) and squared again on decode, which also
-keeps it non-negative by construction.
+bounded by the codec's error bound.
 
 Adam and LAMB share one update formula. A step computes the direction
 r = mhat / (sqrt(vhat) + eps) + wd * w and writes the new weights
@@ -14,15 +11,16 @@ ratio is each layer's clamped trust ratio ||w|| / ||r||, known once the
 layer's r is whole; Adam's is 1. A named-layer partition must tile the
 parameter vector in order; with none, the whole vector is one layer.
 
-The moment math walks the vector in the codec's pieces (``codec._pieces``:
-runs of whole state blocks, then the partial last block): decode the
-piece's m and sqrt(v) in place from the old payloads, update them, encode
-them into the piece's slices of the new payloads, and write the piece's
-slice of r. 8-bit state is therefore never decoded whole, and a step builds
-two chunks whatever the size. Beyond four piece-sized fp32 buffers that
-every piece reuses, a step's transient memory is r, which becomes the new
-weights, and the new state: 1.5x the parameter bytes with 8-bit state and
-3x with fp32 state.
+One function, ``_walk_state``, holds the format the state is stored in.
+It walks the vector in the codec's pieces (``codec._pieces``: runs of
+whole state blocks, then the partial last block), reading the old m and v
+of each piece and storing the new ones. A step is the walk's
+per-piece update, which also writes the piece's slice of r; ``pack_state``
+and ``unpack_state`` are walks that copy. 8-bit state is therefore never
+decoded whole, and a step builds two chunks whatever the size. Beyond four
+piece-sized fp32 buffers that every piece reuses, a step's transient
+memory is r, which becomes the new weights, and the new state: 1.5x the
+parameter bytes with 8-bit state and 3x with fp32 state.
 Packed state must use the config's ``block_size``.
 
 Checkpoint file (version 3): magic "TOPT", a fixed config block (version,
@@ -44,7 +42,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +55,7 @@ from .errors import (
     NonFiniteGradient,
     ShapeMismatch,
     StepOutOfRange,
+    allocating,
     as_int,
     as_real,
     checked_int,
@@ -191,23 +190,18 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     A size that cannot be allocated raises ``ConfigError``.
     """
     num_params = checked_int(num_params, "num_params", ConfigError)
-    # Of the calls in the try, only the allocations raise these: a size past
-    # the address space is a ValueError in numpy, and one the host cannot
-    # hold a MemoryError. The constructors raise SwarmErrors.
-    try:
+    with allocating(f"num_params {num_params}"):
         if cfg.state_bits == 8:
             q8, n, bs = Scheme.Q8_BLOCKWISE, num_params, cfg.block_size
             count, size = codec._layout(q8, n, bs)
             zeros = QuantizedChunk(q8, n, bs, np.zeros(count, np.float32), bytes(size))
         else:
             zeros = TensorBuf(np.zeros(num_params, np.float32))
-    except (ValueError, MemoryError):
-        raise ConfigError(f"num_params {num_params} is too large to allocate") from None
     return OptimState(m=zeros, v=zeros, step=0)
 
 
 def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_SIZE) -> OptimState:
-    """Encode moments per state_bits. 8-bit packs m directly and v via sqrt."""
+    """Encode moments per state_bits, in the state format of ``_walk_state``."""
     state_bits, block_size = as_int(state_bits), as_int(block_size)
     if state_bits == 32:
         return unpack_state(st)
@@ -216,9 +210,7 @@ def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_
     if st.packed:
         _require_block_size(st, block_size)
         return st
-    v_root = TensorBuf(np.sqrt(np.maximum(st.v.data, np.float32(0.0))))
-    m, v = codec.quantize_q8(st.m, block_size), codec.quantize_q8(v_root, block_size)
-    return replace(st, m=m, v=v)
+    return _walk_state(st, True, block_size, st.step)
 
 
 def _require_block_size(st: OptimState, block_size: int):
@@ -228,12 +220,69 @@ def _require_block_size(st: OptimState, block_size: int):
 
 
 def unpack_state(st: OptimState) -> OptimState:
-    """Decode moments to fp32 buffers; v is squared back and thus >= 0."""
+    """Decode moments to fp32 buffers, from the state format of ``_walk_state``."""
     if not st.packed:
         return st
-    m = codec.dequantize_q8(st.m)
-    v_root = codec.dequantize_q8(st.v).data
-    return replace(st, m=m, v=TensorBuf(v_root * v_root))
+    return _walk_state(st, False, st.m.block_size, st.step)
+
+
+def _copy_moments(start, stop, m_old, v_old, m, v, t1, t2):
+    """The update of a walk that keeps the moments as they are."""
+    np.copyto(m, m_old)
+    np.copyto(v, v_old)
+
+
+def _walk_state(st, out8, block_size, step, update=_copy_moments):
+    """The state after ``st``, built one piece at a time: the one place
+    that knows how optimizer state is stored.
+
+    The format: fp32 state holds m and v as they are. 8-bit state holds m
+    and the square root of v (a signed symmetric codebook would waste half
+    its range on a non-negative quantity), each Q8 in blocks of
+    ``block_size``; decoding squares v back, which keeps it non-negative
+    by construction.
+
+    For each piece of ``codec._pieces`` the walk reads the old m and v:
+    slices of fp32 state, or 8-bit state decoded in place into two piece
+    buffers. ``update(start, stop, m_old, v_old, m, v, t1, t2)`` writes the
+    new m and v; the default update copies the old ones. The walk
+    stores them as slices of new fp32 arrays or, with ``out8``, encodes
+    them into one codes and scales pair per moment, allocated once.
+    ``t1`` and ``t2``, two more piece buffers, are scratch for ``update``
+    and the encoder. So 8-bit state is never decoded whole, and the walk
+    builds two chunks whatever the size. Its transient memory beyond the
+    new state is the four piece-sized fp32 buffers. The old state is only
+    read.
+    """
+    n = st.num_elements
+    # _layout first: it refuses a block_size that _pieces cannot take
+    count, size = codec._layout(Scheme.Q8_BLOCKWISE, n, block_size)
+    pieces = codec._pieces(n, block_size)
+    work = np.empty((4, max((b - a for a, b in pieces), default=0)), np.float32)
+    if out8:
+        m_codes, v_codes = np.empty(size, np.int8), np.empty(size, np.int8)
+        m_scales, v_scales = np.empty(count, np.float32), np.empty(count, np.float32)
+    else:
+        new_m, new_v = TensorBuf(np.empty(n, np.float32)), TensorBuf(np.empty(n, np.float32))
+    for start, stop in pieces:
+        t1, t2, m_buf, v_buf = work[:, : stop - start]
+        if st.packed:
+            codec._dequantize_into(st.m, start, stop, m_buf)
+            codec._dequantize_into(st.v, start, stop, v_buf)
+            m_old, v_old = m_buf, np.multiply(v_buf, v_buf, out=v_buf)
+        else:
+            m_old, v_old = st.m.data[start:stop], st.v.data[start:stop]
+        m, v = (m_buf, v_buf) if out8 else (new_m.data[start:stop], new_v.data[start:stop])
+        update(start, stop, m_old, v_old, m, v, t1, t2)
+        if out8:
+            v_root = np.sqrt(np.maximum(v, np.float32(0.0), out=v), out=v)
+            codec._quantize_into(m, start, block_size, m_scales, m_codes, t1, t2)
+            codec._quantize_into(v_root, start, block_size, v_scales, v_codes, t1, t2)
+    if out8:
+        m_codes.flags.writeable = v_codes.flags.writeable = False
+        new_m = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, m_scales, m_codes)
+        new_v = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, v_scales, v_codes)
+    return OptimState(m=new_m, v=new_v, step=step)
 
 
 def state_nbytes(st: OptimState) -> int:
@@ -279,26 +328,22 @@ def _partition(layers, n: int) -> list[tuple[int, int]]:
 
 
 def _grouped_step(w, g, st, cfg, lr, layers, clip):
-    """LAMB, or Adam when ``clip`` is None, one piece of the state at a time.
+    """LAMB, or Adam when ``clip`` is None, as the ``update`` of a walk over
+    the state (``_walk_state``), which reads and stores m and v per piece.
 
-    Per piece: read m and sqrt(v) (decode the piece's blocks of 8-bit state
-    into two reused piece buffers, or slice fp32 state), update them in
-    fp32, write the piece's slice of the direction
-    r = mhat / (sqrt(vhat) + eps) + wd * w, and write the piece's new state
-    (for 8-bit state, encode it into its slices of the new codes and scales,
-    with the two work buffers as the encoder's scratch). The new weights
-    w - (lr * ratio) * r are written over r in place as soon as the ratio
-    is known: Adam's is 1, so each piece's slice right after the piece;
-    LAMB takes each layer's ratio from the norms of its w and r slices, so
-    each layer once the pieces have written all of its r. Every value comes
-    from the same fp32 operations in the same order as on whole vectors, so
-    the result does not depend on how the vector is cut.
+    Per piece the update computes the new m and v in fp32 and writes the
+    piece's slice of the direction r = mhat / (sqrt(vhat) + eps) + wd * w.
+    The new weights w - (lr * ratio) * r are written over r in place as
+    soon as the ratio is known: Adam's is 1, so each piece's slice right
+    after the piece; LAMB takes each layer's ratio from the norms of its w
+    and r slices, so each layer once the pieces have written all of its r.
+    Every value comes from the same fp32 operations in the same order as on
+    whole vectors, so the result does not depend on how the vector is cut.
 
-    Every operation writes with ``out=`` into memory the step owns: four
-    piece-sized buffers, r and the new state, whose codes and scales are
-    allocated once and become the new chunks at the end. ``w``, ``g`` and
-    the old state are only read. Transient memory beyond the piece buffers,
-    per element: 4 bytes for r, which becomes the new weights, and the new
+    Every operation writes with ``out=`` into memory the step owns: the
+    walk's piece buffers and new state, and r. ``w``, ``g`` and the old
+    state are only read. Transient memory beyond the piece buffers, per
+    element: 4 bytes for r, which becomes the new weights, and the new
     state (fp32: 8 bytes; 8-bit: 2).
     """
     _check_inputs(w, g, st)
@@ -311,29 +356,13 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
     step = st.step + 1
     c1, c2 = one - b1 ** np.float32(step), one - b2 ** np.float32(step)
     eps, wd = np.float32(cfg.epsilon), np.float32(cfg.weight_decay)
-    out8 = cfg.state_bits == 8
-    pieces = codec._pieces(n, bs)
     # The slices of r that take one ratio each and whose new weights are not
     # written yet, the next one last: LAMB's layers, or Adam's pieces.
-    todo = (pieces if clip is None else _partition(layers, n))[::-1]
-    work = np.empty((4, max((b - a for a, b in pieces), default=0)), np.float32)
+    todo = (codec._pieces(n, bs) if clip is None else _partition(layers, n))[::-1]
     r = np.empty(n, np.float32)
-    if out8:
-        count, size = codec._layout(Scheme.Q8_BLOCKWISE, n, bs)
-        m_codes, v_codes = np.empty(size, np.int8), np.empty(size, np.int8)
-        m_scales, v_scales = np.empty(count, np.float32), np.empty(count, np.float32)
-    else:
-        new_m, new_v = np.empty(n, np.float32), np.empty(n, np.float32)
-    for start, stop in pieces:
-        gg, ww = g[start:stop], w[start:stop]
-        t1, t2, m_buf, v_buf = work[:, : stop - start]
-        if st.packed:
-            codec._dequantize_into(st.m, start, stop, m_buf)
-            codec._dequantize_into(st.v, start, stop, v_buf)
-            m_old, v_old = m_buf, np.multiply(v_buf, v_buf, out=v_buf)
-        else:
-            m_old, v_old = st.m.data[start:stop], st.v.data[start:stop]
-        m, v = (m_buf, v_buf) if out8 else (new_m[start:stop], new_v[start:stop])
+
+    def update(start, stop, m_old, v_old, m, v, t1, t2):
+        gg = g[start:stop]
         # m = b1 * m_old + (1 - b1) * g
         np.multiply(b1, m_old, out=m)
         np.add(m, np.multiply(one - b1, gg, out=t1), out=m)
@@ -346,7 +375,7 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
         # r = mhat / (sqrt(vhat) + eps) + wd * w
         np.add(np.sqrt(vhat, out=t2), eps, out=t2)
         direction = np.divide(mhat, t2, out=t1)
-        np.add(direction, np.multiply(wd, ww, out=t2), out=r[start:stop])
+        np.add(direction, np.multiply(wd, w[start:stop], out=t2), out=r[start:stop])
         while todo and todo[-1][1] <= stop:
             a, b = todo.pop()
             ratio = 1.0 if clip is None else trust_ratio(
@@ -354,17 +383,9 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
             )
             np.multiply(lr32 * np.float32(ratio), r[a:b], out=r[a:b])
             np.subtract(w[a:b], r[a:b], out=r[a:b])
-        if out8:
-            v_root = np.sqrt(np.maximum(v, np.float32(0.0), out=v), out=v)
-            codec._quantize_into(m, start, bs, m_scales, m_codes, t1, t2)
-            codec._quantize_into(v_root, start, bs, v_scales, v_codes, t1, t2)
-    if out8:
-        m_codes.flags.writeable = v_codes.flags.writeable = False
-        new_m = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, bs, m_scales, m_codes)
-        new_v = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, bs, v_scales, v_codes)
-    else:
-        new_m, new_v = TensorBuf(new_m), TensorBuf(new_v)
-    return TensorBuf(r), replace(st, m=new_m, v=new_v, step=step)
+
+    new_st = _walk_state(st, cfg.state_bits == 8, bs, step, update)
+    return TensorBuf(r), new_st
 
 
 def adam_step(
@@ -491,8 +512,9 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     CRC-32 does not match raises ``ChecksumMismatch``. Versions 1 and 2
     carry no checksum; their tier byte and transfer counter are skipped.
     Version 1 did not store ``block_size``; it is taken from the 8-bit
-    state's chunks, and is the default for fp32 state. Any other
-    inconsistency raises ``MalformedChunk``. When ``buf`` is ``bytes``, the
+    state's chunks, and is the default for fp32 state. NaN or Inf in the
+    weights or in fp32 moments, which ``save_checkpoint`` refuses, and any
+    other inconsistency raise ``MalformedChunk``. When ``buf`` is ``bytes``, the
     8-bit moments hold only their own bytes, not the rest of ``buf``.
     """
     if buf[:4] != CKPT_MAGIC:
@@ -535,7 +557,13 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
         raise MalformedChunk(f"checkpoint header: {e}") from None
     if bits == 32:
         m_chunk, v_chunk = codec.decode_f32(m_chunk), codec.decode_f32(v_chunk)
-    return cfg, OptimState(m=m_chunk, v=v_chunk, step=step), codec.decode_f32(w_chunk)
+    w = codec.decode_f32(w_chunk)
+    # What save_checkpoint refuses; 8-bit state decodes finite. NaN fails
+    # the comparison too.
+    for t in (w, m_chunk, v_chunk) if bits == 32 else (w,):
+        if t.data.size and not max(t.data.max(), -t.data.min()) < math.inf:
+            raise MalformedChunk("checkpoint weights or moments hold NaN or Inf")
+    return cfg, OptimState(m=m_chunk, v=v_chunk, step=step), w
 
 
 def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, checked_int
+from .errors import ConfigError, allocating, checked_int
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,9 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
     n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
     seed = checked_int(seed, "seed", ConfigError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    w_star = rng.standard_normal(dim)
+    with allocating(f"dim {dim}"):
+        w_star = rng.standard_normal(dim)
+        init = np.zeros(dim, np.float64)
 
     def batch_loss(params, indices):
         _require_samples(indices)
@@ -64,7 +66,7 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
     return Task(
         param_dim=dim,
         n_samples=n_samples,
-        init_params=np.zeros(dim, np.float64),
+        init_params=init,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
         layers=(("w", 0, dim),),
@@ -96,9 +98,11 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
     dim = checked_int(dim, "dim", ConfigError, lo=1)
     seed = checked_int(seed, "seed", ConfigError)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-    x = rng.standard_normal((n_samples, dim))
-    w_true = rng.standard_normal(dim)
-    y = np.where(x @ w_true >= 0.0, 1.0, -1.0)
+    with allocating(f"n_samples x dim = {n_samples} x {dim}"):
+        x = rng.standard_normal((n_samples, dim))
+        w_true = rng.standard_normal(dim)
+        init = np.zeros(dim, np.float64)
+        y = np.where(x @ w_true >= 0.0, 1.0, -1.0)
     rows = max(1, _BLOCK_BYTES // (8 * dim))
 
     def block_grad_sum(params, ib):
@@ -124,7 +128,7 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
     return Task(
         param_dim=dim,
         n_samples=n_samples,
-        init_params=np.zeros(dim, np.float64),
+        init_params=init,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
         layers=(("w", 0, dim),),
@@ -150,8 +154,9 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
     edges = list(itertools.accumulate((math.prod(s) for s in shapes.values()), initial=0))
     layers = tuple(zip(shapes, edges, edges[1:]))
     dim = edges[-1]
-    x = rng.standard_normal((n_samples, d_in))
-    y = np.sin(x[:, 0]) + 0.5 * x[:, 1] * x[:, 2]
+    with allocating(f"n_samples {n_samples}"):
+        x = rng.standard_normal((n_samples, d_in))
+        y = np.sin(x[:, 0]) + 0.5 * x[:, 1] * x[:, 2]
     init = rng.standard_normal(dim) * 0.2
 
     def unpack(params):

@@ -234,6 +234,20 @@ class TestDequantizeQ8:
         c = codec.QuantizedChunk(Scheme.Q8_BLOCKWISE, 5, 4, scales, b"\x7f\x01\x81\x00\x7f")
         assert np.isfinite(codec.dequantize_q8(c).data).all()
 
+    @pytest.mark.parametrize("at", [0, 3])
+    def test_code_minus_128_is_malformed(self, at):
+        """The encoder writes codes in [-127, 127]. A -128 is refused where
+        the chunk is built, also from wire bytes; at the largest scale it
+        would decode to -Inf."""
+        payload = bytearray(b"\x01\x02\x03\x04")
+        payload[at] = 0x80
+        scales = np.array([codec._SCALE_MAX], np.float32)
+        with pytest.raises(MalformedChunk, match="-128"):
+            codec.QuantizedChunk(Scheme.Q8_BLOCKWISE, 4, 4, scales, bytes(payload))
+        head = codec._HEADER.pack(codec.MAGIC, Scheme.Q8_BLOCKWISE, 4, 4, 1)
+        with pytest.raises(MalformedChunk, match="-128"):
+            codec.chunk_from_bytes(head + scales.tobytes() + bytes(payload))
+
     def test_malformed_payload_length(self):
         with pytest.raises(MalformedChunk):
             codec.QuantizedChunk(

@@ -298,6 +298,59 @@ class TestPackedState:
         packed = pack_state(st, 8, bs)
         assert optim.state_nbytes(packed) == 2 * (n + 4 * 7)  # codes and 7 scales each
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=hs.integers(0, 300),
+        block_size=hs.sampled_from([1, 3, 64, 4096]),
+        group=hs.sampled_from([1, 5, 64]),
+        seed=hs.integers(0, 2**32 - 1),
+    )
+    def test_pack_and_unpack_match_the_oracle(self, n, block_size, group, seed):
+        """Bit for bit against the whole-vector oracle, with a group small
+        enough for many pieces and a partial last block. v may be negative,
+        which packing clamps to 0; whole blocks may be zero."""
+        rng = np.random.default_rng(seed)
+        m, v = (rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, 1))).astype(np.float32)
+        m[: rng.integers(0, n + 1)] = 0.0
+        st = OptimState(m=TensorBuf(m), v=TensorBuf(v), step=int(rng.integers(0, 9)))
+        with mock.patch.object(codec, "_GROUP", group):
+            packed = pack_state(st, 8, block_size)
+            assert _same_state(packed, oracle.pack_state(st, 8, block_size))
+            assert _same_state(unpack_state(packed), oracle.unpack_state(packed))
+
+    @staticmethod
+    def _peak(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    # Beyond its output and the four piece-sized fp32 buffers of the walk, a
+    # pack or unpack allocates numpy's cast buffers and a few objects.
+    _SLACK = 1 << 17
+
+    def _state_1m(self):
+        n = 1 << 20
+        rng = np.random.default_rng(71)
+        m, v = rng.standard_normal((2, n)).astype(np.float32)
+        return n, OptimState(m=TensorBuf(m), v=TensorBuf(v * v), step=3)
+
+    def test_pack_peak_is_its_output_and_piece_buffers(self):
+        n, st = self._state_1m()
+        count, size = codec._layout(codec.Scheme.Q8_BLOCKWISE, n, codec.DEFAULT_BLOCK_SIZE)
+        output = 2 * (size + 4 * count)
+        pieces = 4 * 4 * codec._GROUP
+        assert self._peak(pack_state, st, 8) <= output + pieces + self._SLACK
+
+    def test_unpack_peak_is_its_output_and_piece_buffers(self):
+        n, st = self._state_1m()
+        packed = pack_state(st, 8)
+        pieces = 4 * 4 * codec._GROUP
+        assert self._peak(unpack_state, packed) <= 2 * 4 * n + pieces + self._SLACK
+
     def test_8bit_lamb_tracks_fp32_on_quadratic(self):
         rng = np.random.default_rng(43)
         w_star = rng.standard_normal(100).astype(np.float32)
@@ -720,6 +773,40 @@ class TestCheckpointFormat:
         with pytest.raises(MalformedChunk, match="state chunk F16"):
             optim.load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bits, chunk", [(32, 0), (32, 1), (32, 2), (8, 0)],
+                             ids=["w-state32", "m-state32", "v-state32", "w-state8"])
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_non_finite_weights_or_moments_are_malformed(self, version, bits, chunk, bad):
+        """Loading refuses what saving refuses: one value of the weights or
+        of an fp32 moment is set to ``bad`` in a checkpoint with a valid CRC,
+        or in one of version 2, which has none."""
+        n, cfg = 8, OptimConfig.lamb(state_bits=bits, block_size=4)
+        w = TensorBuf(np.ones(n, np.float32))
+        body = bytearray(b"".join(optim.checkpoint_parts(cfg, init_state(n, cfg), w))[:-4])
+        # the chunks before it (prefix, header and 4n payload bytes each),
+        # its own prefix and header, and three values
+        at = optim._CKPT_HEADS[3].size + chunk * (4 + codec.HEADER_BYTES + 4 * n)
+        at += 4 + codec.HEADER_BYTES + 4 * 3
+        body[at : at + 4] = np.float32(bad).tobytes()
+        raw = _with_crc(bytes(body))
+        with pytest.raises(MalformedChunk, match="NaN or Inf"):
+            optim.checkpoint_from_bytes(_as_version(raw, 2) if version == 2 else raw)
+
+    def test_state_code_minus_128_is_malformed(self):
+        """8-bit state that decodes beyond its error bound is refused on load,
+        not by the re-encode of the next step."""
+        n, cfg = 8, OptimConfig.lamb(state_bits=8, block_size=4)
+        w = TensorBuf(np.linspace(-1.0, 1.0, n, dtype=np.float32))
+        _, st = lamb_step(w, w, init_state(n, cfg), cfg, 0.01)
+        body = bytearray(b"".join(optim.checkpoint_parts(cfg, st, w))[:-4])
+        # the first code of m: after the weight chunk and m's scales
+        at = optim._CKPT_HEADS[3].size + 8 + 2 * codec.HEADER_BYTES + 4 * n + 4 * 2
+        assert body[at] != 0x80
+        body[at] = 0x80
+        with pytest.raises(MalformedChunk, match="-128"):
+            optim.checkpoint_from_bytes(_with_crc(bytes(body)))
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         cfg = OptimConfig.adam(state_bits=8)
         w, st, _ = self._run(cfg)
@@ -910,6 +997,18 @@ def _make_logreg(seed):
     return tasks.make_logreg(5, 3, seed)
 
 
+def _quadratic_of_dim(dim):
+    return tasks.make_quadratic(dim, 0)
+
+
+def _logreg_of_size(n_samples=1, dim=1):
+    return tasks.make_logreg(n_samples, dim, 0)
+
+
+def _tiny_mlp_of_size(n_samples):
+    return tasks.make_tiny_mlp(0, n_samples)
+
+
 def _init_state_fp32(num_params):
     return init_state(num_params, OptimConfig())
 
@@ -963,6 +1062,10 @@ def _lamb_step(lr):
             (_make_quadratic, "seed", "a"),
             (_make_logreg, "seed", -1),
             (tasks.make_tiny_mlp, "seed", None),
+            (_quadratic_of_dim, "dim", 2**62),
+            (_logreg_of_size, "n_samples", 2**62),
+            (_logreg_of_size, "dim", 2**62),
+            (_tiny_mlp_of_size, "n_samples", 2**62),
             (_lamb_step, "lr", math.nan),
             (_lamb_step, "lr", math.inf),
             (_lamb_step, "lr", -0.1),
