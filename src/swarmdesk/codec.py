@@ -179,8 +179,9 @@ class QuantizedChunk:
 class CodecPolicy:
     """Scheme-selection policy: tensors with >= q8_threshold elements go 8-bit.
 
-    ``lossless=True`` bypasses compression entirely (F32_RAW), which is what
-    parameter sync and the synchronous-equivalence tests use.
+    ``lossless=True`` selects F32_RAW for every tensor: an exact fp32 wire,
+    the lossless anchor, over which a collaborative round is to match a
+    single-node step bit for bit.
     """
 
     q8_threshold: int = 65536

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the two coercions that
-range checks of settings use, the one check of integer settings, and the
-one refusal of a size that cannot be allocated.
+"""Exception types shared across the package, the coercions that range
+checks of settings use, the one check of integer settings, and the one
+refusal of a size that cannot be allocated.
 
 Every error the package raises is a subclass of SwarmError, so callers can
 catch one base type at process boundaries.
@@ -9,6 +9,8 @@ catch one base type at process boundaries.
 import contextlib
 import math
 import numbers
+
+import numpy as np
 
 
 class SwarmError(Exception):
@@ -55,9 +57,9 @@ class ConfigError(SwarmError):
 # becomes NaN, which fails the range test, so it is refused with the
 # caller's error instead of a TypeError. The caller keeps the returned
 # value, so a numpy integer goes on as a Python int, whose arithmetic
-# neither wraps nor overflows. Both coercions test the exact built-in type
-# first: an isinstance test against a numbers ABC takes about 0.4 us, and
-# an optimizer step makes two per layer.
+# neither wraps nor overflows. ``as_int`` and ``as_real`` test the exact
+# built-in type first: an isinstance test against a numbers ABC takes about
+# 0.4 us, and an optimizer step makes two per layer.
 
 
 def as_int(value):
@@ -77,6 +79,21 @@ def as_real(value):
     if type(value) is float or isinstance(value, numbers.Real) and type(value) is not bool:
         return value
     return math.nan
+
+
+# The least magnitude that fp32 rounds to Inf: halfway between its largest
+# finite value, 2**128 - 2**104, and 2**128, where the tie goes to 2**128.
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
+def as_f32(value):
+    """``as_real(value)`` rounded to fp32, as a Python float, if fp32 holds it
+    finite; else NaN. The optimizer step computes with its real settings in
+    fp32, so each one is range-checked as this value: a setting that fp32
+    rounds to Inf, or to 0 where 0 is out of range, fails its check. Unlike
+    numpy's cast of a value beyond fp32's range, it warns of nothing."""
+    x = as_real(value)
+    return float(np.float32(x)) if abs(x) < _F32_OVERFLOW else math.nan
 
 
 def checked_int(value, name, error, lo=0, hi=math.inf):

@@ -23,15 +23,17 @@ memory is r, which becomes the new weights, and the new state: 1.5x the
 parameter bytes with 8-bit state and 3x with fp32 state.
 Packed state must use the config's ``block_size``.
 
-Checkpoint file (version 3): magic "TOPT", a fixed config block (version,
-algorithm, state bits, step, betas, epsilon, weight decay, trust clip,
-block_size), the weight, m and v buffers as codec chunks, each
-length-prefixed (u32, little-endian), and a CRC-32 (u32) of every byte
-before it. ``checkpoint_parts`` and ``checkpoint_from_bytes`` are the
-format over bytes; ``save_checkpoint`` writes the parts to a temporary file
-and renames it into place, and ``load_checkpoint`` reads a file back.
-Versions 1 and 2 are still read. The learning-rate schedule and the layer
-partition are not in the file: the caller passes them to every step.
+Checkpoint file (version 3, the only one read): magic "TOPT", a fixed
+config block (version, algorithm, state bits, step, betas, epsilon, weight
+decay, trust clip, block_size), the weight, m and v buffers as codec
+chunks, each length-prefixed (u32, little-endian), and a CRC-32 (u32) of
+every byte before it. ``checkpoint_parts`` and ``checkpoint_from_bytes``
+are the format over bytes; ``save_checkpoint`` writes the parts to a
+temporary file and renames it into place, and ``load_checkpoint`` reads a
+file back. The reader views every chunk in the bytes it is given and
+copies out only the 8-bit moments, the one payload the loaded state keeps.
+The learning-rate schedule and the layer partition are not in the file:
+the caller passes them to every step.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .errors import (
     ShapeMismatch,
     StepOutOfRange,
     allocating,
+    as_f32,
     as_int,
     as_real,
     checked_int,
@@ -79,13 +82,14 @@ class ScheduleConfig:
     def __post_init__(self):
         total_steps = checked_int(self.total_steps, "total_steps", ConfigError, lo=1)
         object.__setattr__(self, "total_steps", total_steps)
-        # each check is written so that NaN fails it
+        # each check is written so that NaN fails it; the step computes
+        # with the rates in fp32, so they are checked as fp32 values
         if not 0.0 <= as_real(self.warmup_fraction) <= 1.0:
             raise ConfigError("warmup_fraction must be in [0, 1]")
-        if not 0.0 < as_real(self.peak_lr) < math.inf:
-            raise ConfigError("peak_lr must be finite and > 0")
-        if not 0.0 <= as_real(self.end_lr) < math.inf:
-            raise ConfigError("end_lr must be finite and >= 0")
+        if not 0.0 < as_f32(self.peak_lr):
+            raise ConfigError("peak_lr must be finite and > 0 in fp32")
+        if not 0.0 <= as_f32(self.end_lr):
+            raise ConfigError("end_lr must be finite and >= 0 in fp32")
 
     @property
     def warmup_steps(self) -> int:
@@ -122,16 +126,17 @@ class OptimConfig:
             object.__setattr__(self, "algorithm", Algorithm(as_int(self.algorithm)))
         except ValueError:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}") from None
-        # each check is written so that NaN fails it
-        if not (0.0 <= as_real(self.beta1) < 1.0 and 0.0 <= as_real(self.beta2) < 1.0):
-            raise ConfigError("betas must be in [0, 1)")
-        if not 0.0 < as_real(self.epsilon) < math.inf:
-            raise ConfigError("epsilon must be finite and > 0")
-        if not 0.0 <= as_real(self.weight_decay) < math.inf:
-            raise ConfigError("weight_decay must be finite and >= 0")
+        # each check is written so that NaN fails it, and is made on the
+        # fp32 value that the step computes with
+        if not (0.0 <= as_f32(self.beta1) < 1.0 and 0.0 <= as_f32(self.beta2) < 1.0):
+            raise ConfigError("betas must be in [0, 1) in fp32")
+        if not 0.0 < as_f32(self.epsilon):
+            raise ConfigError("epsilon must be finite and > 0 in fp32")
+        if not 0.0 <= as_f32(self.weight_decay):
+            raise ConfigError("weight_decay must be finite and >= 0 in fp32")
         clip = self.trust_clip if isinstance(self.trust_clip, (tuple, list)) else ()
-        if not (len(clip) == 2 and as_real(clip[0]) <= as_real(clip[1])):
-            raise ConfigError("trust_clip must be a pair (min, max) with min <= max")
+        if not (len(clip) == 2 and 0.0 <= as_f32(clip[0]) <= as_f32(clip[1])):
+            raise ConfigError("trust_clip must be (min, max), 0 <= min <= max, finite in fp32")
         state_bits = as_int(self.state_bits)
         if state_bits not in (32, 8):
             raise ConfigError("state_bits must be 32 or 8")
@@ -348,8 +353,8 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
     """
     _check_inputs(w, g, st)
     _require_block_size(st, cfg.block_size)
-    if not 0.0 <= as_real(lr) < math.inf:
-        raise ConfigError(f"lr must be finite and >= 0, got {lr!r}")
+    if not 0.0 <= as_f32(lr):
+        raise ConfigError(f"lr must be finite and >= 0 in fp32, got {lr!r}")
     w, g, n, bs = w.data, g.data, w.num_elements, cfg.block_size
     b1, b2 = np.float32(cfg.beta1), np.float32(cfg.beta2)
     one, lr32 = np.float32(1.0), np.float32(lr)
@@ -437,16 +442,7 @@ def optimizer_step(
 
 CKPT_MAGIC = b"TOPT"
 CKPT_VERSION = 3
-# Header per version. Version 2 appended the state's block_size (u32);
-# version 3 drops the tier byte (with its 3 pad bytes) and the transfer
-# counter of versions 1 and 2, which held no data, and ends the file with a
-# CRC-32 of all bytes before it. Versions 1 and 2 read those two fields as
-# pad bytes (4x, 8x), so every version unpacks into the same fields.
-_CKPT_HEADS = {
-    1: struct.Struct("<4sHBBQ4x6d8x"),
-    2: struct.Struct("<4sHBBQ4x6d8xI"),
-    3: struct.Struct("<4sHBBQ6dI"),
-}
+_CKPT_HEAD = struct.Struct("<4sHBBQ6dI")
 
 
 def _raw_chunk(t: TensorBuf) -> QuantizedChunk:
@@ -464,15 +460,16 @@ def _write_chunk(parts: list, chunk: QuantizedChunk):
     parts += [struct.pack("<I", len(top) + len(chunk.payload)), top, chunk.payload]
 
 
-def _read_chunk(buf: bytes, off: int, end: int):
-    """The length-prefixed chunk at ``off``; it must end by ``end``. Its
-    payload views a slice of ``buf``: a copy of its own bytes when ``buf``
-    is ``bytes``, the memory of ``buf`` itself when it is a memoryview."""
+def _read_chunk(view: memoryview, off: int, end: int, own: bool = False):
+    """The length-prefixed chunk at ``off`` of ``view``, and where it ends;
+    it must end by ``end``. Its scales and payload view ``view`` or, with
+    ``own``, one copy of the chunk's own bytes."""
     start = off + 4
-    stop = start + int.from_bytes(buf[off:start], "little")
+    stop = start + int.from_bytes(view[off:start], "little")
     if stop > end:
         raise MalformedChunk("checkpoint ends inside its chunk table")
-    return codec.chunk_from_bytes(buf[start:stop]), stop
+    raw = view[start:stop]
+    return codec.chunk_from_bytes(bytes(raw) if own else raw), stop
 
 
 def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
@@ -489,7 +486,7 @@ def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
     """
     _require_state_fits(st, w)
     packed = pack_state(st, cfg.state_bits, cfg.block_size)
-    head = _CKPT_HEADS[CKPT_VERSION].pack(
+    head = _CKPT_HEAD.pack(
         CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, packed.step,
         cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
         cfg.trust_clip[0], cfg.trust_clip[1], cfg.block_size,
@@ -505,41 +502,35 @@ def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
 
 
 def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
-    """The config, state and weights of a checkpoint of version 1, 2 or 3.
+    """The config, state and weights of the version 3 checkpoint in ``buf``.
 
-    ``buf`` holds the whole checkpoint, as ``load_checkpoint`` reads it from
-    a file or as ``checkpoint_parts`` joined. A version 3 checkpoint whose
-    CRC-32 does not match raises ``ChecksumMismatch``. Versions 1 and 2
-    carry no checksum; their tier byte and transfer counter are skipped.
-    Version 1 did not store ``block_size``; it is taken from the 8-bit
-    state's chunks, and is the default for fp32 state. NaN or Inf in the
-    weights or in fp32 moments, which ``save_checkpoint`` refuses, and any
-    other inconsistency raise ``MalformedChunk``. When ``buf`` is ``bytes``, the
-    8-bit moments hold only their own bytes, not the rest of ``buf``.
+    ``buf`` is any buffer that holds the whole checkpoint, as
+    ``load_checkpoint`` reads it from a file or as ``checkpoint_parts``
+    joined. Another version raises ``MalformedChunk``, and bytes that do not
+    match the CRC-32 raise ``ChecksumMismatch``. NaN or Inf in the weights
+    or in fp32 moments, which ``save_checkpoint`` refuses, and any other
+    inconsistency raise ``MalformedChunk``. Every chunk is read as a view of
+    ``buf``: the weights and fp32 moments are decoded from it into new
+    arrays, and the 8-bit moments, which the state keeps, copy their own
+    bytes once. Nothing returned holds on to ``buf``.
     """
-    if buf[:4] != CKPT_MAGIC:
+    view = memoryview(buf).toreadonly()
+    if view[:4] != CKPT_MAGIC:
         raise MalformedChunk("not an optimizer checkpoint (bad magic)")
-    version = int.from_bytes(buf[4:6], "little")
-    head = _CKPT_HEADS.get(version)
-    if head is None:
+    version = int.from_bytes(view[4:6], "little")
+    if version != CKPT_VERSION:
         raise MalformedChunk(f"unsupported checkpoint version {version}")
-    end = len(buf) - 4 if version >= 3 else len(buf)
-    if end < head.size:
-        raise MalformedChunk(f"checkpoint shorter than its header: {len(buf)} bytes")
-    if version >= 3 and zlib.crc32(memoryview(buf)[:end]) != int.from_bytes(buf[end:], "little"):
+    end = len(view) - 4
+    if end < _CKPT_HEAD.size:
+        raise MalformedChunk(f"checkpoint shorter than its header: {len(view)} bytes")
+    if zlib.crc32(view[:end]) != int.from_bytes(view[end:], "little"):
         raise ChecksumMismatch("checkpoint bytes do not match their CRC-32")
-    _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, *block = head.unpack_from(buf)
-    # The weights are decoded into a copy below, so they may view the file;
-    # the 8-bit moments are kept, so they must hold only their own bytes.
-    w_chunk, off = _read_chunk(memoryview(buf), head.size, end)
-    m_chunk, off = _read_chunk(buf, off, end)
-    v_chunk, off = _read_chunk(buf, off, end)
+    _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, block_size = _CKPT_HEAD.unpack_from(view)
+    w_chunk, off = _read_chunk(view, _CKPT_HEAD.size, end)
+    m_chunk, off = _read_chunk(view, off, end, own=bits == 8)
+    v_chunk, off = _read_chunk(view, off, end, own=bits == 8)
     if off != end:
         raise MalformedChunk(f"{end - off} bytes after the last chunk")
-    if block:
-        (block_size,) = block
-    else:
-        block_size = m_chunk.block_size if bits == 8 else OptimConfig.block_size
     n, want = w_chunk.num_elements, Scheme.Q8_BLOCKWISE if bits == 8 else Scheme.F32_RAW
     for c in (m_chunk, v_chunk):
         if c.num_elements != n or c.scheme != want or (bits == 8 and c.block_size != block_size):

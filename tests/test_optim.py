@@ -245,6 +245,23 @@ class TestLamb:
             assert all(b <= a + 1e-7 for a, b in zip(losses, losses[1:]))
 
 
+def _peak(fn, *args):
+    """The most memory that ``fn(*args)`` allocated at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# Beyond its output (and, for a walk over the state, the four piece-sized
+# fp32 buffers) a pack, unpack or checkpoint read allocates numpy's cast
+# buffers and a few objects.
+_SLACK = 1 << 17
+
+
 class TestPackedState:
     def test_fresh_zero_state(self):
         cfg = OptimConfig.adam(state_bits=8)
@@ -318,20 +335,6 @@ class TestPackedState:
             assert _same_state(packed, oracle.pack_state(st, 8, block_size))
             assert _same_state(unpack_state(packed), oracle.unpack_state(packed))
 
-    @staticmethod
-    def _peak(fn, *args):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    # Beyond its output and the four piece-sized fp32 buffers of the walk, a
-    # pack or unpack allocates numpy's cast buffers and a few objects.
-    _SLACK = 1 << 17
-
     def _state_1m(self):
         n = 1 << 20
         rng = np.random.default_rng(71)
@@ -343,13 +346,13 @@ class TestPackedState:
         count, size = codec._layout(codec.Scheme.Q8_BLOCKWISE, n, codec.DEFAULT_BLOCK_SIZE)
         output = 2 * (size + 4 * count)
         pieces = 4 * 4 * codec._GROUP
-        assert self._peak(pack_state, st, 8) <= output + pieces + self._SLACK
+        assert _peak(pack_state, st, 8) <= output + pieces + _SLACK
 
     def test_unpack_peak_is_its_output_and_piece_buffers(self):
         n, st = self._state_1m()
         packed = pack_state(st, 8)
         pieces = 4 * 4 * codec._GROUP
-        assert self._peak(unpack_state, packed) <= 2 * 4 * n + pieces + self._SLACK
+        assert _peak(unpack_state, packed) <= 2 * 4 * n + pieces + _SLACK
 
     def test_8bit_lamb_tracks_fp32_on_quadratic(self):
         rng = np.random.default_rng(43)
@@ -416,22 +419,6 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + bytes(100))
         with pytest.raises(Exception):
             optim.load_checkpoint(path)
-
-
-# The version 1 and 2 headers as they were written, with the tier byte and
-# the transfer counter that the reader skips.
-_OLD_HEADS = {1: struct.Struct("<4sHBBQB3x6dQ"), 2: struct.Struct("<4sHBBQB3x6dQI")}
-
-
-def _as_version(raw: bytes, version: int) -> bytes:
-    """A version 3 checkpoint in the layout of version 1 or 2: no CRC, and a
-    nonzero tier byte and transfer counter that the reader must skip."""
-    head = optim._CKPT_HEADS[3]
-    magic, _, algo, bits, step, *floats, block = head.unpack_from(raw)
-    old = _OLD_HEADS[version].pack(
-        magic, version, algo, bits, step, 1, *floats, 12345, *([block] if version == 2 else [])
-    )
-    return old + raw[head.size : -4]
 
 
 def _with_crc(body: bytes) -> bytes:
@@ -628,30 +615,39 @@ class TestCheckpointFormat:
         assert w.data.tobytes() == w2.data.tobytes()
         assert _same_state(st, st2)
 
-    def test_loaded_state_holds_only_its_own_bytes(self, tmp_path):
-        """A loaded 8-bit moment does not keep the rest of the file alive."""
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_loaded_state_holds_only_its_own_bytes(self, kind):
+        """A loaded 8-bit moment does not keep the rest of the checkpoint
+        alive, whatever buffer the checkpoint comes in."""
         cfg = OptimConfig.lamb(state_bits=8, block_size=64)
         w, st, _ = self._run(cfg, n=5000)
-        path = tmp_path / "c.topt"
-        optim.save_checkpoint(path, cfg, st, w)
-        _, st2, _ = optim.load_checkpoint(path)
+        raw = b"".join(optim.checkpoint_parts(cfg, st, w))
+        _, st2, _ = optim.checkpoint_from_bytes(kind(raw))
         own = codec.encoded_size(codec.Scheme.Q8_BLOCKWISE, 5000, 64)
         for c in (st2.m, st2.v):
             owner = c.payload.obj if isinstance(c.payload, memoryview) else c.payload
-            assert memoryview(owner).nbytes <= own < path.stat().st_size / 4
+            assert memoryview(owner).nbytes <= own < len(raw) / 4
 
-    @pytest.mark.parametrize("bits, want_block", [(8, 64), (32, 4096)])
-    def test_reads_version_1(self, tmp_path, bits, want_block):
-        cfg = OptimConfig.lamb(state_bits=bits, block_size=64)
+    def test_fp32_load_peak_is_its_output(self):
+        """Reading an fp32-state checkpoint allocates its three fp32 outputs
+        and no copy of a chunk."""
+        n, cfg = 1 << 20, OptimConfig.lamb()
+        rng = np.random.default_rng(73)
+        w, m, v = rng.standard_normal((3, n)).astype(np.float32)
+        st = OptimState(m=TensorBuf(m), v=TensorBuf(v * v), step=3)
+        raw = b"".join(optim.checkpoint_parts(cfg, st, TensorBuf(w)))
+        assert _peak(optim.checkpoint_from_bytes, raw) <= 3 * 4 * n + _SLACK
+
+    @pytest.mark.parametrize("version", [0, 1, 2, 4, 65535])
+    def test_other_versions_are_refused(self, version):
+        """Only version 3 is read; the CRC is fixed up after the version is
+        changed, so the version check itself refuses the checkpoint."""
+        cfg = OptimConfig.lamb(state_bits=8, block_size=64)
         w, st, _ = self._run(cfg)
-        path = tmp_path / "v3.topt"
-        optim.save_checkpoint(path, cfg, st, w)
-        old = tmp_path / "v1.topt"
-        old.write_bytes(_as_version(path.read_bytes(), 1))
-        cfg1, st1, w1 = optim.load_checkpoint(old)
-        assert cfg1 == replace(cfg, block_size=want_block)
-        assert w1.data.tobytes() == w.data.tobytes()
-        assert st1.step == st.step
+        body = bytearray(b"".join(optim.checkpoint_parts(cfg, st, w))[:-4])
+        body[4:6] = version.to_bytes(2, "little")
+        with pytest.raises(MalformedChunk, match="unsupported checkpoint version"):
+            optim.checkpoint_from_bytes(_with_crc(bytes(body)))
 
     def test_bad_headers_raise_malformed(self, tmp_path):
         cfg = OptimConfig.adam()
@@ -665,28 +661,27 @@ class TestCheckpointFormat:
                 optim.load_checkpoint(path)
 
     @pytest.mark.parametrize("offset", [6], ids=["algorithm"])
-    def test_enum_byte_out_of_range_is_malformed(self, tmp_path, offset):
-        """On a version 2 file, which has no CRC to fail first."""
+    def test_enum_byte_out_of_range_is_malformed(self, offset):
+        """With the CRC fixed up, so that the header check is reached."""
         cfg = OptimConfig.adam()
         w, st, _ = self._run(cfg, n=8, steps=1)
-        path = tmp_path / "c.topt"
-        optim.save_checkpoint(path, cfg, st, w)
-        raw = bytearray(_as_version(path.read_bytes(), 2))
-        raw[offset] = 7
-        path.write_bytes(bytes(raw))
-        with pytest.raises(MalformedChunk):
-            optim.load_checkpoint(path)
+        body = bytearray(b"".join(optim.checkpoint_parts(cfg, st, w))[:-4])
+        body[offset] = 7
+        with pytest.raises(MalformedChunk, match="unknown algorithm"):
+            optim.checkpoint_from_bytes(_with_crc(bytes(body)))
 
-    def test_reads_version_2_and_skips_its_tier_fields(self, tmp_path):
+    @pytest.mark.parametrize("field, value", [("epsilon", 1e-50), ("weight_decay", 1e39)])
+    def test_header_setting_out_of_fp32_range_is_malformed(self, field, value):
+        """A header goes through ``OptimConfig``, so a setting that fp32
+        turns into 0 or Inf is refused, also with a valid CRC."""
         cfg = OptimConfig.lamb(state_bits=8, block_size=64)
         w, st, _ = self._run(cfg)
-        path = tmp_path / "c.topt"
-        optim.save_checkpoint(path, cfg, st, w)
-        path.write_bytes(_as_version(path.read_bytes(), 2))
-        cfg2, st2, w2 = optim.load_checkpoint(path)
-        assert cfg2 == cfg
-        assert w2.data.tobytes() == w.data.tobytes()
-        assert _same_state(st2, st)
+        body = bytearray(b"".join(optim.checkpoint_parts(cfg, st, w))[:-4])
+        # the eight-byte reals after magic, version, algorithm, bits and step
+        at = 16 + 8 * ["beta1", "beta2", "epsilon", "weight_decay"].index(field)
+        body[at : at + 8] = struct.pack("<d", value)
+        with pytest.raises(MalformedChunk, match=f"checkpoint header: {field}"):
+            optim.checkpoint_from_bytes(_with_crc(bytes(body)))
 
     def test_crc_mismatch_raises_checksum_mismatch(self, tmp_path):
         cfg = OptimConfig.lamb(state_bits=8)
@@ -703,48 +698,39 @@ class TestCheckpointFormat:
                 optim.load_checkpoint(path)
         assert issubclass(ChecksumMismatch, MalformedChunk)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_every_truncation_is_malformed(self, tmp_path, version):
+    def test_every_truncation_is_malformed(self, tmp_path):
         cfg = OptimConfig.adam()
         w, st, _ = self._run(cfg, n=8, steps=1)
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, st, w)
         raw = path.read_bytes()
-        if version < 3:
-            raw = _as_version(raw, version)
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
-            past_head = version < 3 and cut >= optim._CKPT_HEADS[version].size
-            with pytest.raises(MalformedChunk, match="chunk table" if past_head else None):
+            with pytest.raises(MalformedChunk):
                 optim.load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
-    def test_trailing_bytes_are_malformed(self, tmp_path, version):
+    def test_trailing_bytes_are_malformed(self, tmp_path):
         cfg = OptimConfig.adam()
         w, st, _ = self._run(cfg, n=8, steps=1)
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, st, w)
-        raw = path.read_bytes()
-        longer = _as_version(raw, version) + b"\0" if version < 3 else _with_crc(raw[:-4] + b"\0")
-        path.write_bytes(longer)
+        path.write_bytes(_with_crc(path.read_bytes()[:-4] + b"\0"))
         with pytest.raises(MalformedChunk, match="after the last chunk"):
             optim.load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
     @pytest.mark.parametrize("bits", [32, 8])
-    def test_state_of_another_length_is_malformed(self, tmp_path, version, bits):
+    def test_state_of_another_length_is_malformed(self, tmp_path, bits):
         """Built from parts, since ``save_checkpoint`` refuses such state."""
         cfg = OptimConfig.adam(state_bits=bits, block_size=4)
         w = TensorBuf(np.ones(8, np.float32))
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
-        parts = [path.read_bytes()[: optim._CKPT_HEADS[3].size]]
+        parts = [path.read_bytes()[: optim._CKPT_HEAD.size]]
         optim._write_chunk(parts, codec.encode_f32(w))
         short = init_state(7, cfg)
         for buf in (short.m, short.v):
             optim._write_chunk(parts, buf if short.packed else codec.encode_f32(buf))
-        raw = _with_crc(b"".join(parts))
-        path.write_bytes(_as_version(raw, version) if version < 3 else raw)
+        path.write_bytes(_with_crc(b"".join(parts)))
         with pytest.raises(MalformedChunk, match="of 7 elements"):
             optim.load_checkpoint(path)
 
@@ -766,7 +752,7 @@ class TestCheckpointFormat:
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
         f16 = replace(codec.encode_f16(w), block_size=cfg.block_size)
-        parts = [path.read_bytes()[: optim._CKPT_HEADS[3].size]]
+        parts = [path.read_bytes()[: optim._CKPT_HEAD.size]]
         for chunk in (codec.encode_f32(w), f16, f16):
             optim._write_chunk(parts, chunk)
         path.write_bytes(_with_crc(b"".join(parts)))
@@ -776,22 +762,19 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bits, chunk", [(32, 0), (32, 1), (32, 2), (8, 0)],
                              ids=["w-state32", "m-state32", "v-state32", "w-state8"])
-    @pytest.mark.parametrize("version", [2, 3])
-    def test_non_finite_weights_or_moments_are_malformed(self, version, bits, chunk, bad):
+    def test_non_finite_weights_or_moments_are_malformed(self, bits, chunk, bad):
         """Loading refuses what saving refuses: one value of the weights or
-        of an fp32 moment is set to ``bad`` in a checkpoint with a valid CRC,
-        or in one of version 2, which has none."""
+        of an fp32 moment is set to ``bad`` in a checkpoint with a valid CRC."""
         n, cfg = 8, OptimConfig.lamb(state_bits=bits, block_size=4)
         w = TensorBuf(np.ones(n, np.float32))
         body = bytearray(b"".join(optim.checkpoint_parts(cfg, init_state(n, cfg), w))[:-4])
         # the chunks before it (prefix, header and 4n payload bytes each),
         # its own prefix and header, and three values
-        at = optim._CKPT_HEADS[3].size + chunk * (4 + codec.HEADER_BYTES + 4 * n)
+        at = optim._CKPT_HEAD.size + chunk * (4 + codec.HEADER_BYTES + 4 * n)
         at += 4 + codec.HEADER_BYTES + 4 * 3
         body[at : at + 4] = np.float32(bad).tobytes()
-        raw = _with_crc(bytes(body))
         with pytest.raises(MalformedChunk, match="NaN or Inf"):
-            optim.checkpoint_from_bytes(_as_version(raw, 2) if version == 2 else raw)
+            optim.checkpoint_from_bytes(_with_crc(bytes(body)))
 
     def test_state_code_minus_128_is_malformed(self):
         """8-bit state that decodes beyond its error bound is refused on load,
@@ -801,7 +784,7 @@ class TestCheckpointFormat:
         _, st = lamb_step(w, w, init_state(n, cfg), cfg, 0.01)
         body = bytearray(b"".join(optim.checkpoint_parts(cfg, st, w))[:-4])
         # the first code of m: after the weight chunk and m's scales
-        at = optim._CKPT_HEADS[3].size + 8 + 2 * codec.HEADER_BYTES + 4 * n + 4 * 2
+        at = optim._CKPT_HEAD.size + 8 + 2 * codec.HEADER_BYTES + 4 * n + 4 * 2
         assert body[at] != 0x80
         body[at] = 0x80
         with pytest.raises(MalformedChunk, match="-128"):
@@ -922,17 +905,16 @@ def saved_checkpoint(tmp_path_factory):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("version, fix_crc", [(2, False), (3, False), (3, True)],
-                         ids=["v2", "v3", "v3-crc-fixed"])
+@pytest.mark.parametrize("fix_crc", [False, True], ids=["v3", "v3-crc-fixed"])
 @settings(max_examples=300, deadline=None)
 @given(data=hs.data())
-def test_mangled_checkpoint_raises_only_swarm_errors(saved_checkpoint, version, fix_crc, data):
+def test_mangled_checkpoint_raises_only_swarm_errors(saved_checkpoint, fix_crc, data):
     """Cut, byte-mutated and extended checkpoints are refused with a
-    SwarmError or load. With the CRC fixed up after the damage, a version 3
+    SwarmError or load. With the CRC fixed up after the damage, a
     checkpoint gets past the checksum to the structural checks. The file
     read path is covered by the truncation, trailing-byte and CRC tests."""
     raw = saved_checkpoint
-    body = bytearray(_as_version(raw, 2) if version == 2 else raw[:-4] if fix_crc else raw)
+    body = bytearray(raw[:-4] if fix_crc else raw)
     for at, byte in data.draw(
         hs.lists(hs.tuples(hs.integers(0, len(body) - 1), hs.integers(0, 255)), max_size=8)
     ):
@@ -1024,13 +1006,20 @@ def _lamb_step(lr):
         pytest.param(make, field, value, id=f"{make.__name__}.{field}={value}")
         for make, field, value in [
             (OptimConfig, "epsilon", math.nan),
+            (OptimConfig, "epsilon", 1e-50),
+            (OptimConfig, "epsilon", 1e39),
             (OptimConfig, "weight_decay", math.nan),
+            (OptimConfig, "weight_decay", 1e39),
             (OptimConfig, "trust_clip", (math.nan, 1.0)),
             (OptimConfig, "trust_clip", (0.0, math.nan)),
+            (OptimConfig, "trust_clip", (-1.0, -0.5)),
+            (OptimConfig, "trust_clip", (math.inf, math.inf)),
+            (OptimConfig, "trust_clip", (0.0, 1e39)),
             (OptimConfig, "trust_clip", (1.0,)),
             (OptimConfig, "trust_clip", None),
             (OptimConfig, "beta1", math.nan),
             (OptimConfig, "beta1", None),
+            (OptimConfig, "beta2", 1.0 - 1e-9),
             (OptimConfig, "algorithm", 7),
             (OptimConfig, "state_bits", 8.0),
             (OptimConfig, "block_size", 0),
@@ -1038,8 +1027,11 @@ def _lamb_step(lr):
             (OptimConfig, "block_size", 2.5),
             (OptimConfig, "block_size", True),
             (ScheduleConfig, "peak_lr", math.nan),
+            (ScheduleConfig, "peak_lr", 1e39),
+            (ScheduleConfig, "peak_lr", 1e-50),
             (ScheduleConfig, "warmup_fraction", 1.5),
             (ScheduleConfig, "end_lr", math.nan),
+            (ScheduleConfig, "end_lr", 1e39),
             (ScheduleConfig, "total_steps", math.nan),
             (ScheduleConfig, "total_steps", None),
             (ScheduleConfig, "total_steps", True),
@@ -1068,6 +1060,7 @@ def _lamb_step(lr):
             (_tiny_mlp_of_size, "n_samples", 2**62),
             (_lamb_step, "lr", math.nan),
             (_lamb_step, "lr", math.inf),
+            (_lamb_step, "lr", 1e39),
             (_lamb_step, "lr", -0.1),
             (_lamb_step, "lr", None),
         ]
