@@ -27,11 +27,13 @@ Scheme selection is a pure threshold on element count: large tensors go
 encoded bytes are identical across runs and platforms.
 
 Two value types carry the data. A ``TensorBuf`` is a flat fp32 vector. A
-``QuantizedChunk`` is one encoded tensor; it is checked once, when it is
-built (from an encoder, from wire bytes or by hand), and cannot change
-afterwards, so decoders and the wire writer take it as valid. Its payload is
-``bytes`` or a read-only byte view of memory that nothing writes any more,
-such as the codes an encoder wrote or the wire bytes it was read from.
+``QuantizedChunk`` is one encoded tensor. Its constructor checks a chunk
+built from wire bytes or by hand; an encoder builds its chunks valid by
+construction (``QuantizedChunk._valid``), having checked its input already,
+so they are not checked again. A chunk cannot change once built, so decoders
+and the wire writer take it as valid. Its payload is ``bytes`` or a
+read-only byte view of memory that nothing writes any more, such as the
+codes an encoder wrote or the wire bytes it was read from.
 
 Wire layout (little-endian), the unit an encoded tensor travels in:
 
@@ -79,11 +81,11 @@ _FLOAT_DTYPES = {Scheme.F16: np.dtype("<f2"), Scheme.F32_RAW: np.dtype("<f4")}
 
 def _layout(scheme: Scheme, n: int, block_size: int) -> tuple[int, int]:
     """The scale count and the payload bytes of a chunk of n >= 0 elements.
-    An unknown scheme, and for Q8 a block_size that is not an integer >= 1,
-    raise ``MalformedChunk``."""
+    An unknown scheme, and for Q8 a block_size that is not an integer in
+    [1, 2**32), the range the wire header holds, raise ``MalformedChunk``."""
     tag = as_int(scheme)
     if tag == Scheme.Q8_BLOCKWISE:
-        block_size = checked_int(block_size, "block_size", MalformedChunk, lo=1)
+        block_size = checked_int(block_size, "block_size", MalformedChunk, 1, 2**32)
         return -(-n // block_size), n
     if tag not in _FLOAT_DTYPES:
         raise MalformedChunk(f"unknown scheme {scheme!r}")
@@ -109,18 +111,29 @@ class TensorBuf:
         return self.data.size
 
     def require_finite(self) -> "TensorBuf":
+        # one isfinite pass beats _absmax's max/min pair on large tensors
         if self.data.size and not np.isfinite(self.data).all():
             raise NonFiniteInput("tensor contains NaN or Inf")
         return self
+
+
+def _absmax(x: np.ndarray):
+    """The largest |x| of a vector, 0 if it is empty and NaN if it holds a
+    NaN, from one max/min pair and without a copy."""
+    return max(np.maximum.reduce(x), -np.minimum.reduce(x)) if x.size else 0.0
 
 
 @dataclass(frozen=True)
 class QuantizedChunk:
     """Encoded tensor: scheme tag, per-block scales (Q8 only) and payload bytes.
 
-    The constructor checks that the fields have the types and ranges the
-    wire header holds and fit together, and raises ``MalformedChunk`` when
-    they do not. It keeps ``scales`` as a read-only fp32 view, not a copy.
+    The constructor checks a chunk built from wire bytes or by hand: that
+    the fields have the types and ranges the wire header holds and fit
+    together, that the scales lie in [+0, ``_SCALE_MAX``] and that no Q8 code
+    is -128. It raises ``MalformedChunk`` when they do not. The encoders
+    build their chunks with ``_valid``, which checks nothing, since each has
+    checked its input and made every field valid by construction.
+    The constructor keeps ``scales`` as a read-only fp32 view, not a copy.
     ``payload`` stays ``bytes`` when it is ``bytes``;
     a read-only, C-contiguous buffer (a read-only array, a view of bytes) is
     kept as a ``memoryview`` of format ``"B"``, not a copy, and anything
@@ -173,6 +186,22 @@ class QuantizedChunk:
         # at the largest scale.
         if scales.size and np.frombuffer(self.payload, np.int8).min() == -128:
             raise MalformedChunk("Q8 codes must lie in [-127, 127], got -128")
+
+    @classmethod
+    def _valid(cls, scheme, num_elements, block_size, scales, payload) -> "QuantizedChunk":
+        """The chunk of the fields an encoder made valid, without a check:
+        ``scheme`` a ``Scheme``, ``num_elements`` and ``block_size`` ints the
+        header holds that fit the layout, ``scales`` an fp32 vector in
+        [+0, ``_SCALE_MAX``] and ``payload`` a C-contiguous array, Q8 codes
+        in [-127, 127]. Both arrays become read-only, and the payload is kept
+        as a byte view, as the constructor keeps them."""
+        scales.flags.writeable = payload.flags.writeable = False
+        chunk = object.__new__(cls)
+        vars(chunk).update(
+            scheme=scheme, num_elements=num_elements, block_size=block_size,
+            scales=scales, payload=memoryview(payload).cast("B"),
+        )
+        return chunk
 
 
 @dataclass(frozen=True)
@@ -233,12 +262,12 @@ def _quantize_into(x, start, block_size, scales, codes, quot, rounded) -> None:
     np.maximum.reduce(quot, axis=1, out=scales)
     np.divide(scales, np.float32(127), out=scales)
     # NaN fails this comparison as well as Inf and too large a scale
-    if not scales.max() <= _SCALE_MAX:
+    if not np.maximum.reduce(scales) <= _SCALE_MAX:
         if not np.isfinite(scales).all():
             raise NonFiniteInput("tensor contains NaN or Inf")
         raise OverflowToInfinity("127 * scale of a block exceeds the fp32 maximum")
     divisor = scales
-    subnormal = scales.min() < _SMALLEST_NORMAL
+    subnormal = np.minimum.reduce(scales) < _SMALLEST_NORMAL
     if subnormal:
         # A zero scale means |x| <= 127 * 2**-150 in its block, which rounds
         # to code 0 when divided by 1, so no block divides by zero.
@@ -255,7 +284,7 @@ def _quantize_into(x, start, block_size, scales, codes, quot, rounded) -> None:
     # Only those elements are divided again, in float64 as specified.
     np.subtract(quot, rounded, out=quot)
     np.abs(quot, out=quot)
-    if quot.max() == 0.5:
+    if np.maximum.reduce(quot, None) == 0.5:
         rows, cols = np.nonzero(quot == 0.5)
         rounded[rows, cols] = np.rint(
             x[rows, cols].astype(np.float64) / divisor[rows].astype(np.float64)
@@ -282,14 +311,14 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
     The chunk keeps the codes array as its payload, read-only.
     """
     x, n, block_size = t.data, t.num_elements, as_int(block_size)
+    # refuses a block_size that _pieces cannot take or the header cannot hold
     count, size = _layout(Scheme.Q8_BLOCKWISE, n, block_size)
     scales, codes = np.empty(count, np.float32), np.empty(size, np.int8)
     pieces = _pieces(n, block_size)
     quot, rounded = np.empty((2, max((b - a for a, b in pieces), default=0)), np.float32)
     for start, stop in pieces:
         _quantize_into(x[start:stop], start, block_size, scales, codes, quot, rounded)
-    codes.flags.writeable = False
-    return QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, scales, codes)
+    return QuantizedChunk._valid(Scheme.Q8_BLOCKWISE, n, block_size, scales, codes)
 
 
 def dequantize_q8(c: QuantizedChunk) -> TensorBuf:
@@ -321,12 +350,11 @@ def _dequantize_into(c: QuantizedChunk, start: int, stop: int, out: np.ndarray) 
 
 
 def _encode_float(t: TensorBuf, scheme: Scheme) -> QuantizedChunk:
-    """Encode as the float scheme's payload type; NaN/Inf are rejected. The
-    chunk keeps the converted array as its payload, read-only."""
-    t.require_finite()
+    """Encode a tensor that the caller found finite, and in range, as the
+    float scheme's payload type. The chunk keeps the converted array as its
+    payload, read-only."""
     payload = t.data.astype(_FLOAT_DTYPES[scheme])
-    payload.flags.writeable = False
-    return QuantizedChunk(scheme, t.num_elements, 0, np.zeros(0, np.float32), payload)
+    return QuantizedChunk._valid(scheme, t.num_elements, 0, np.zeros(0, np.float32), payload)
 
 
 def _decode_float(c: QuantizedChunk, scheme: Scheme) -> TensorBuf:
@@ -336,10 +364,15 @@ def _decode_float(c: QuantizedChunk, scheme: Scheme) -> TensorBuf:
 
 
 def encode_f16(t: TensorBuf) -> QuantizedChunk:
-    """Encode as IEEE binary16 (round-to-nearest-even); rejects |x| > 65504."""
-    # NaN and Inf fail this test and are left to the finiteness check
-    if t.data.size and F16_MAX < max(t.data.max(), -t.data.min()) < np.inf:
-        raise OverflowToInfinity(f"|x| exceeds binary16 max finite {F16_MAX}")
+    """Encode as IEEE binary16 (round-to-nearest-even). NaN or Inf anywhere
+    raises ``NonFiniteInput``; else a finite |x| > 65504 raises
+    ``OverflowToInfinity``."""
+    # NaN if x holds one: the one max/min pair decides both errors
+    top = _absmax(t.data)
+    if not top <= F16_MAX:
+        if top < np.inf:
+            raise OverflowToInfinity(f"|x| exceeds binary16 max finite {F16_MAX}")
+        raise NonFiniteInput("tensor contains NaN or Inf")
     return _encode_float(t, Scheme.F16)
 
 
@@ -349,7 +382,7 @@ def decode_f16(c: QuantizedChunk) -> TensorBuf:
 
 def encode_f32(t: TensorBuf) -> QuantizedChunk:
     """Lossless passthrough; NaN/Inf are still rejected at the boundary."""
-    return _encode_float(t, Scheme.F32_RAW)
+    return _encode_float(t.require_finite(), Scheme.F32_RAW)
 
 
 def decode_f32(c: QuantizedChunk) -> TensorBuf:
@@ -391,8 +424,18 @@ def chunk_to_bytes(c: QuantizedChunk) -> bytes:
     return b"".join((chunk_header(c), c.payload))
 
 
+def _buffer(raw) -> memoryview:
+    """A view of ``raw``; an object that is not a buffer raises ``MalformedChunk``."""
+    try:
+        return memoryview(raw)
+    except TypeError:
+        raise MalformedChunk(f"expected a bytes-like buffer, got {type(raw).__name__}") from None
+
+
 def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
-    """The chunk in ``raw``; its payload is a view of ``raw``, not a copy."""
+    """The chunk in the buffer ``raw``; its payload is a view of ``raw``,
+    not a copy."""
+    view = _buffer(raw)
     if len(raw) < HEADER_BYTES:
         raise MalformedChunk(f"chunk shorter than header: {len(raw)} bytes")
     magic, scheme, n, block_size, scale_count = _HEADER.unpack_from(raw)
@@ -402,7 +445,7 @@ def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
     if len(raw) < off:
         raise MalformedChunk("truncated scales")
     scales = np.frombuffer(raw[HEADER_BYTES:off], dtype="<f4")
-    return QuantizedChunk(scheme, n, block_size, scales, memoryview(raw)[off:])
+    return QuantizedChunk(scheme, n, block_size, scales, view[off:])
 
 
 # roundtrip_error_bound per unit of scale: half a scale from rounding to a

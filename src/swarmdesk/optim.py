@@ -260,15 +260,16 @@ def _walk_state(st, out8, block_size, step, update=_copy_moments):
     read.
     """
     n = st.num_elements
-    # _layout first: it refuses a block_size that _pieces cannot take
-    count, size = codec._layout(Scheme.Q8_BLOCKWISE, n, block_size)
-    pieces = codec._pieces(n, block_size)
-    work = np.empty((4, max((b - a for a, b in pieces), default=0)), np.float32)
     if out8:
+        # _layout first: it refuses a block_size that _pieces cannot take or
+        # a chunk's header cannot hold (fp32 state comes with a valid one)
+        count, size = codec._layout(Scheme.Q8_BLOCKWISE, n, block_size)
         m_codes, v_codes = np.empty(size, np.int8), np.empty(size, np.int8)
         m_scales, v_scales = np.empty(count, np.float32), np.empty(count, np.float32)
     else:
         new_m, new_v = TensorBuf(np.empty(n, np.float32)), TensorBuf(np.empty(n, np.float32))
+    pieces = codec._pieces(n, block_size)
+    work = np.empty((4, max((b - a for a, b in pieces), default=0)), np.float32)
     for start, stop in pieces:
         t1, t2, m_buf, v_buf = work[:, : stop - start]
         if st.packed:
@@ -284,9 +285,9 @@ def _walk_state(st, out8, block_size, step, update=_copy_moments):
             codec._quantize_into(m, start, block_size, m_scales, m_codes, t1, t2)
             codec._quantize_into(v_root, start, block_size, v_scales, v_codes, t1, t2)
     if out8:
-        m_codes.flags.writeable = v_codes.flags.writeable = False
-        new_m = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, m_scales, m_codes)
-        new_v = QuantizedChunk(Scheme.Q8_BLOCKWISE, n, block_size, v_scales, v_codes)
+        # valid by construction: _quantize_into checked what the constructor would
+        new_m = QuantizedChunk._valid(Scheme.Q8_BLOCKWISE, n, block_size, m_scales, m_codes)
+        new_v = QuantizedChunk._valid(Scheme.Q8_BLOCKWISE, n, block_size, v_scales, v_codes)
     return OptimState(m=new_m, v=new_v, step=step)
 
 
@@ -308,7 +309,7 @@ def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
     _require_state_fits(st, w)
     # 2**64 is the least fp32 magnitude whose square, and so v, overflows;
     # NaN fails this comparison too
-    if g.data.size and not max(g.data.max(), -g.data.min()) < 2.0**64:
+    if not codec._absmax(g.data) < 2.0**64:
         raise NonFiniteGradient("gradient contains NaN, Inf or a magnitude >= 2**64")
 
 
@@ -330,6 +331,12 @@ def _partition(layers, n: int) -> list[tuple[int, int]]:
     if end != n:
         raise ShapeMismatch(f"layers {bounds} do not tile [0, {n}) in order")
     return bounds
+
+
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of an fp32 vector: what ``np.linalg.norm`` computes for
+    one, bit for bit, without its dispatch."""
+    return float(np.sqrt(x.dot(x)))
 
 
 def _grouped_step(w, g, st, cfg, lr, layers, clip):
@@ -383,9 +390,7 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
         np.add(direction, np.multiply(wd, w[start:stop], out=t2), out=r[start:stop])
         while todo and todo[-1][1] <= stop:
             a, b = todo.pop()
-            ratio = 1.0 if clip is None else trust_ratio(
-                float(np.linalg.norm(w[a:b])), float(np.linalg.norm(r[a:b])), clip
-            )
+            ratio = 1.0 if clip is None else trust_ratio(_norm(w[a:b]), _norm(r[a:b]), clip)
             np.multiply(lr32 * np.float32(ratio), r[a:b], out=r[a:b])
             np.subtract(w[a:b], r[a:b], out=r[a:b])
 
@@ -514,7 +519,7 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     arrays, and the 8-bit moments, which the state keeps, copy their own
     bytes once. Nothing returned holds on to ``buf``.
     """
-    view = memoryview(buf).toreadonly()
+    view = codec._buffer(buf).toreadonly()
     if view[:4] != CKPT_MAGIC:
         raise MalformedChunk("not an optimizer checkpoint (bad magic)")
     version = int.from_bytes(view[4:6], "little")
@@ -552,7 +557,7 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     # What save_checkpoint refuses; 8-bit state decodes finite. NaN fails
     # the comparison too.
     for t in (w, m_chunk, v_chunk) if bits == 32 else (w,):
-        if t.data.size and not max(t.data.max(), -t.data.min()) < math.inf:
+        if not codec._absmax(t.data) < math.inf:
             raise MalformedChunk("checkpoint weights or moments hold NaN or Inf")
     return cfg, OptimState(m=m_chunk, v=v_chunk, step=step), w
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmdesk import codec
+from swarmdesk import codec, optim
 from swarmdesk.codec import CodecPolicy, Scheme, TensorBuf
 from swarmdesk.errors import MalformedChunk, NonFiniteInput, OverflowToInfinity, SwarmError
 
@@ -330,10 +330,10 @@ class TestF16:
     def test_max_finite_boundary(self):
         c = codec.encode_f16(TensorBuf([65504.0]))
         assert codec.decode_f16(c).data[0] == 65504.0
-        with pytest.raises(OverflowToInfinity):
-            codec.encode_f16(TensorBuf([65505.0]))
-        with pytest.raises(OverflowToInfinity):
-            codec.encode_f16(TensorBuf([-65505.0]))
+        # 65519 would round to 65504, 65520 to Inf: both are past 65504
+        for past in (65505.0, -65505.0, 65519.0, 65520.0, -65520.0):
+            with pytest.raises(OverflowToInfinity):
+                codec.encode_f16(TensorBuf([past]))
 
     def test_decode_exact_on_encoded(self):
         rng = np.random.default_rng(3)
@@ -343,11 +343,19 @@ class TestF16:
         assert np.array_equal(out, x.astype(np.float16).astype(np.float32))
 
     @pytest.mark.parametrize("encode", [codec.encode_f16, codec.encode_f32])
-    @pytest.mark.parametrize("values", [[1.0, np.nan], [7e4, np.nan], [np.inf, -7e4], [-np.inf]])
+    @pytest.mark.parametrize(
+        "values",
+        [[1.0, np.nan], [7e4, np.nan], [np.nan, -7e4], [np.inf, -7e4], [np.inf], [-np.inf]],
+    )
     def test_float_encoders_reject_nonfinite(self, encode, values):
         """NaN and Inf are refused as such, also beside a value past 65504."""
         with pytest.raises(NonFiniteInput):
             encode(TensorBuf(values))
+
+    @pytest.mark.parametrize("encode", [codec.encode_f16, codec.encode_f32])
+    def test_float_encoders_take_an_empty_tensor(self, encode):
+        c = encode(TensorBuf(np.zeros(0, np.float32)))
+        assert (c.num_elements, c.scales.size, len(c.payload)) == (0, 0, 0)
 
     @pytest.mark.parametrize("encode, itemsize", [(codec.encode_f32, 4), (codec.encode_f16, 2)])
     def test_float_encoders_copy_once(self, encode, itemsize):
@@ -432,6 +440,11 @@ class TestWireLayout:
     def test_truncated(self):
         with pytest.raises(MalformedChunk):
             codec.chunk_from_bytes(b"TQC1" + bytes(4))
+
+    @pytest.mark.parametrize("raw", ["TQC1" + "\0" * 40, None, 7], ids=["str", "None", "int"])
+    def test_non_buffer_is_malformed(self, raw):
+        with pytest.raises(MalformedChunk, match="bytes-like buffer"):
+            codec.chunk_from_bytes(raw)
 
     def test_determinism(self):
         rng = np.random.default_rng(13)
@@ -622,6 +635,84 @@ def test_f16_roundtrip_is_projection(values):
     once = codec.decode_f16(codec.encode_f16(TensorBuf(x))).data
     twice = codec.decode_f16(codec.encode_f16(TensorBuf(once))).data
     assert np.array_equal(once, twice)
+
+
+def _assert_constructor_rebuilds(c: codec.QuantizedChunk):
+    """The public constructor, with every check, accepts the fields of a
+    chunk an encoder built without them, and keeps them as they are."""
+    back = codec.QuantizedChunk(c.scheme, c.num_elements, c.block_size, c.scales, c.payload)
+    for key in ("scheme", "num_elements", "block_size"):
+        got, want = getattr(back, key), getattr(c, key)
+        assert type(got) is type(want) and got == want, key
+    for x in (c, back):
+        assert x.scales.dtype == np.float32 and x.scales.ndim == 1
+        assert not x.scales.flags.writeable
+        assert type(x.payload) is memoryview and x.payload.format == "B" and x.payload.readonly
+    assert back.scales.tobytes() == c.scales.tobytes()
+    assert bytes(back.payload) == bytes(c.payload)
+
+
+# Blocks of the kinds an encoder's checks stand in for: zero, a scale that
+# underflows to zero or a subnormal, near _SCALE_MAX, and plain values.
+_BLOCK_KINDS = {
+    "zero": lambda rng, k: np.zeros(k),
+    "subnormal": lambda rng, k: rng.uniform(-1.0, 1.0, k) * 10.0 ** rng.integers(-44, -37),
+    "near_max": lambda rng, k: np.append(3.4028233e38 * rng.choice([-1.0, 1.0]),
+                                         rng.uniform(-3.4e38, 3.4e38, k - 1)),
+    "plain": lambda rng, k: rng.standard_normal(k),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=300),
+    block_size=st.sampled_from([1, 2, 3, 7, 16, 64, 4096]),
+    kinds=st.lists(st.sampled_from(sorted(_BLOCK_KINDS)), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    group=st.sampled_from([1, 5, 64, codec._GROUP]),
+)
+def test_encoded_q8_chunks_pass_the_constructor(n, block_size, kinds, seed, group):
+    """``quantize_q8`` builds its chunk without the constructor's checks;
+    the constructor would accept it unchanged."""
+    rng = np.random.default_rng(seed)
+    blocks = [
+        _BLOCK_KINDS[kinds[i % len(kinds)]](rng, min(block_size, n - start))
+        for i, start in enumerate(range(0, n, block_size))
+    ]
+    x = np.concatenate([np.zeros(0), *blocks]).astype(np.float32)
+    with mock.patch.object(codec, "_GROUP", group):
+        _assert_constructor_rebuilds(codec.quantize_q8(TensorBuf(x), block_size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=-65504, max_value=65504, width=32), max_size=100),
+    st.sampled_from([codec.encode_f16, codec.encode_f32]),
+)
+def test_encoded_float_chunks_pass_the_constructor(values, encode):
+    _assert_constructor_rebuilds(encode(TensorBuf(np.array(values, np.float32))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    algo=st.sampled_from(["adam", "lamb"]),
+    n=st.integers(min_value=0, max_value=300),
+    block_size=st.sampled_from([1, 3, 64, 4096]),
+    scale=st.sampled_from([1e-30, 1.0, 1e15]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stepped_8bit_moments_pass_the_constructor(algo, n, block_size, scale, seed):
+    """The new m and v of an 8-bit Adam or LAMB step, built by the state
+    walk without the constructor's checks, pass them unchanged."""
+    rng = np.random.default_rng(seed)
+    cfg = getattr(optim.OptimConfig, algo)(state_bits=8, block_size=block_size)
+    w = TensorBuf(rng.standard_normal(n).astype(np.float32))
+    st8 = optim.init_state(n, cfg)
+    for _ in range(2):
+        g = TensorBuf((rng.standard_normal(n) * scale).astype(np.float32))
+        w, st8 = optim.optimizer_step(w, g, st8, cfg, 0.01)
+        _assert_constructor_rebuilds(st8.m)
+        _assert_constructor_rebuilds(st8.v)
 
 
 _FUZZ_X = TensorBuf(np.linspace(-3.0, 3.0, 37, dtype=np.float32))

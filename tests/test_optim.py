@@ -566,7 +566,9 @@ class TestGroupedStep:
         assert peaks[8] < 6 * n + 20 * codec._GROUP
 
     def test_chunks_built_per_step_do_not_grow_with_the_vector(self):
-        """An 8-bit step builds the same number of chunks at 3 groups as at 10."""
+        """An 8-bit step builds two chunks, its new m and v, at 3 groups as
+        at 10. Chunks are built by the constructor or, by encoders, with
+        ``QuantizedChunk._valid``; both are counted."""
         cfg = OptimConfig.lamb(state_bits=8, block_size=16)
         built = []
         for groups in (3, 10):
@@ -576,10 +578,12 @@ class TestGroupedStep:
             with mock.patch.object(
                 codec.QuantizedChunk, "__post_init__", autospec=True,
                 side_effect=codec.QuantizedChunk.__post_init__,
-            ) as post_init:
+            ) as post_init, mock.patch.object(
+                codec.QuantizedChunk, "_valid", wraps=codec.QuantizedChunk._valid,
+            ) as valid:
                 lamb_step(w, w, st, cfg, 0.01)
-            built.append(post_init.call_count)
-        assert built[0] == built[1]
+            built.append(post_init.call_count + valid.call_count)
+        assert built == [2, 2]
 
     def test_packed_state_in_other_block_size_is_refused(self):
         cfg = OptimConfig.lamb(state_bits=8, block_size=64)
@@ -627,6 +631,12 @@ class TestCheckpointFormat:
         for c in (st2.m, st2.v):
             owner = c.payload.obj if isinstance(c.payload, memoryview) else c.payload
             assert memoryview(owner).nbytes <= own < len(raw) / 4
+
+    @pytest.mark.parametrize("buf", ["TOPT" + "\0" * 80, None, [1, 2], 7],
+                             ids=["str", "None", "list", "int"])
+    def test_non_buffer_is_malformed(self, buf):
+        with pytest.raises(MalformedChunk, match="bytes-like buffer"):
+            optim.checkpoint_from_bytes(buf)
 
     def test_fp32_load_peak_is_its_output(self):
         """Reading an fp32-state checkpoint allocates its three fp32 outputs
