@@ -84,6 +84,7 @@ def as_real(value):
 # The least magnitude that fp32 rounds to Inf: halfway between its largest
 # finite value, 2**128 - 2**104, and 2**128, where the tie goes to 2**128.
 _F32_OVERFLOW = 2.0**128 - 2.0**103
+_NARROW_FLOATS = (np.float16, np.float32)
 
 
 def as_f32(value):
@@ -93,6 +94,11 @@ def as_f32(value):
     rounds to Inf, or to 0 where 0 is out of range, fails its check. Unlike
     numpy's cast of a value beyond fp32's range, it warns of nothing."""
     x = as_real(value)
+    if type(x) in _NARROW_FLOATS:
+        # numpy compares an fp16 or fp32 scalar with a Python float in the
+        # scalar's own type, so the bound would overflow in that cast; the
+        # widening to a Python float is exact
+        x = float(x)
     return float(np.float32(x)) if abs(x) < _F32_OVERFLOW else math.nan
 
 

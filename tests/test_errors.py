@@ -219,6 +219,30 @@ def test_real_settings_refuse_bools(name, key):
             call(**{**kwargs, key: bad})
 
 
+@pytest.mark.parametrize("name, key", _REAL)
+def test_real_settings_take_narrow_numpy_floats(name, key):
+    """An fp16 or fp32 scalar is accepted or refused as the Python float it
+    equals, with no warning from range-checking it against fp32's overflow
+    bound."""
+    call, valid = _SETTINGS[name]
+    kwargs = {k: values[0] for k, values in valid.items()}
+    for value in (*valid[key], -1.0, 0.5, 1.0, math.inf, math.nan):
+        want = _accepted(lambda: call(**{**kwargs, key: value}))
+        for t in (np.float16, np.float32):
+            if float(t(value)) != value and not math.isnan(value):
+                continue  # t rounds it to another value
+            assert _accepted(lambda: call(**{**kwargs, key: t(value)})) == want, (t, value)
+
+
+def _accepted(call):
+    """True if ``call`` returns, else the type of the SwarmError it raises."""
+    try:
+        call()
+        return True
+    except SwarmError as e:
+        return type(e)
+
+
 def test_bool_trust_clip_and_lr_are_refused():
     with pytest.raises(SwarmError):
         optim.OptimConfig(trust_clip=(False, True))
