@@ -20,7 +20,8 @@ Two working schemes plus a raw passthrough:
   largest finite half-precision magnitude (65504) are rejected outright
   rather than saturated.
 * ``F32_RAW`` — lossless passthrough, used for checkpointed weights and
-  fp32 optimizer state, and for exact comparisons.
+  fp32 optimizer state, and for exact comparisons. It is encoded only by
+  ``encode`` under ``CodecPolicy(lossless=True)`` and decoded by ``decode``.
 
 Scheme selection is a pure threshold on element count: large tensors go
 8-bit, everything else 16-bit. All rounding is round-half-to-even so that
@@ -380,23 +381,15 @@ def decode_f16(c: QuantizedChunk) -> TensorBuf:
     return _decode_float(c, Scheme.F16)
 
 
-def encode_f32(t: TensorBuf) -> QuantizedChunk:
-    """Lossless passthrough; NaN/Inf are still rejected at the boundary."""
-    return _encode_float(t.require_finite(), Scheme.F32_RAW)
-
-
-def decode_f32(c: QuantizedChunk) -> TensorBuf:
-    return _decode_float(c, Scheme.F32_RAW)
-
-
 def encode(t: TensorBuf, policy: CodecPolicy = CodecPolicy()) -> QuantizedChunk:
-    """Encode under the policy's scheme selection."""
+    """Encode under the policy's scheme selection. Every scheme refuses NaN
+    and Inf with ``NonFiniteInput``, the lossless F32_RAW too."""
     scheme = select_scheme(t.num_elements, policy)
     if scheme == Scheme.Q8_BLOCKWISE:
         return quantize_q8(t, policy.block_size)
     if scheme == Scheme.F16:
         return encode_f16(t)
-    return encode_f32(t)
+    return _encode_float(t.require_finite(), Scheme.F32_RAW)
 
 
 def decode(c: QuantizedChunk) -> TensorBuf:
@@ -404,7 +397,7 @@ def decode(c: QuantizedChunk) -> TensorBuf:
         return dequantize_q8(c)
     if c.scheme == Scheme.F16:
         return decode_f16(c)
-    return decode_f32(c)
+    return _decode_float(c, Scheme.F32_RAW)
 
 
 def encoded_size(scheme: Scheme, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -> int:
@@ -425,26 +418,31 @@ def chunk_to_bytes(c: QuantizedChunk) -> bytes:
 
 
 def _buffer(raw) -> memoryview:
-    """A view of ``raw``; an object that is not a buffer raises ``MalformedChunk``."""
+    """The bytes of the buffer ``raw`` as one flat view of format ``"B"``, so
+    that lengths and offsets count bytes whatever its item type. An object
+    that is not a buffer, or a buffer that is not C-contiguous or was
+    released, raises ``MalformedChunk``."""
     try:
-        return memoryview(raw)
-    except TypeError:
-        raise MalformedChunk(f"expected a bytes-like buffer, got {type(raw).__name__}") from None
+        return memoryview(raw).cast("B")
+    except (TypeError, ValueError):  # ValueError: a released memoryview
+        name = type(raw).__name__
+        raise MalformedChunk(f"expected a C-contiguous bytes-like buffer, got {name}") from None
 
 
 def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
     """The chunk in the buffer ``raw``; its payload is a view of ``raw``,
-    not a copy."""
+    not a copy. Its scales are copied, so that they cannot change with a
+    writable ``raw``, as the constructor copies a writable payload."""
     view = _buffer(raw)
-    if len(raw) < HEADER_BYTES:
-        raise MalformedChunk(f"chunk shorter than header: {len(raw)} bytes")
-    magic, scheme, n, block_size, scale_count = _HEADER.unpack_from(raw)
+    if len(view) < HEADER_BYTES:
+        raise MalformedChunk(f"chunk shorter than header: {len(view)} bytes")
+    magic, scheme, n, block_size, scale_count = _HEADER.unpack_from(view)
     if magic != MAGIC:
         raise MalformedChunk(f"bad magic {magic!r}")
     off = HEADER_BYTES + 4 * scale_count
-    if len(raw) < off:
+    if len(view) < off:
         raise MalformedChunk("truncated scales")
-    scales = np.frombuffer(raw[HEADER_BYTES:off], dtype="<f4")
+    scales = np.frombuffer(bytes(view[HEADER_BYTES:off]), dtype="<f4")
     return QuantizedChunk(scheme, n, block_size, scales, view[off:])
 
 

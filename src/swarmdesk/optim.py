@@ -16,11 +16,12 @@ It walks the vector in the codec's pieces (``codec._pieces``: runs of
 whole state blocks, then the partial last block), reading the old m and v
 of each piece and storing the new ones. A step is the walk's
 per-piece update, which also writes the piece's slice of r; ``pack_state``
-and ``unpack_state`` are walks that copy. 8-bit state is therefore never
-decoded whole, and a step builds two chunks whatever the size. Beyond four
-piece-sized fp32 buffers that every piece reuses, a step's transient
-memory is r, which becomes the new weights, and the new state: 1.5x the
-parameter bytes with 8-bit state and 3x with fp32 state.
+(to 8 bits) and ``unpack_state`` (to fp32) are walks that copy. 8-bit
+state is therefore never decoded whole, and a step builds two chunks
+whatever the size. Beyond four piece-sized fp32 buffers that every piece
+reuses, a step's transient memory is r, which becomes the new weights, and
+the new state: 1.5x the parameter bytes with 8-bit state and 3x with fp32
+state.
 Packed state must use the config's ``block_size``.
 
 Checkpoint file (version 3, the only one read): magic "TOPT", a fixed
@@ -137,11 +138,14 @@ class OptimConfig:
         clip = self.trust_clip if isinstance(self.trust_clip, (tuple, list)) else ()
         if not (len(clip) == 2 and 0.0 <= as_f32(clip[0]) <= as_f32(clip[1])):
             raise ConfigError("trust_clip must be (min, max), 0 <= min <= max, finite in fp32")
+        # a tuple, so that the config hashes and equals the one read back
+        object.__setattr__(self, "trust_clip", tuple(clip))
         state_bits = as_int(self.state_bits)
         if state_bits not in (32, 8):
             raise ConfigError("state_bits must be 32 or 8")
         object.__setattr__(self, "state_bits", state_bits)
-        block_size = checked_int(self.block_size, "block_size", ConfigError, lo=1)
+        # the range the checkpoint header's u32 holds
+        block_size = checked_int(self.block_size, "block_size", ConfigError, 1, 2**32)
         object.__setattr__(self, "block_size", block_size)
 
     @classmethod
@@ -205,13 +209,10 @@ def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     return OptimState(m=zeros, v=zeros, step=0)
 
 
-def pack_state(st: OptimState, state_bits: int, block_size: int = DEFAULT_BLOCK_SIZE) -> OptimState:
-    """Encode moments per state_bits, in the state format of ``_walk_state``."""
-    state_bits, block_size = as_int(state_bits), as_int(block_size)
-    if state_bits == 32:
-        return unpack_state(st)
-    if state_bits != 8:
-        raise ConfigError("state_bits must be 32 or 8")
+def pack_state(st: OptimState, block_size: int = DEFAULT_BLOCK_SIZE) -> OptimState:
+    """Encode moments to 8 bits in blocks of ``block_size``, in the state
+    format of ``_walk_state``; ``unpack_state`` is the way back to fp32."""
+    block_size = as_int(block_size)
     if st.packed:
         _require_block_size(st, block_size)
         return st
@@ -490,7 +491,7 @@ def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
     ``w`` raises ``ShapeMismatch``.
     """
     _require_state_fits(st, w)
-    packed = pack_state(st, cfg.state_bits, cfg.block_size)
+    packed = pack_state(st, cfg.block_size) if cfg.state_bits == 8 else unpack_state(st)
     head = _CKPT_HEAD.pack(
         CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, packed.step,
         cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
@@ -536,6 +537,8 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     v_chunk, off = _read_chunk(view, off, end, own=bits == 8)
     if off != end:
         raise MalformedChunk(f"{end - off} bytes after the last chunk")
+    if w_chunk.scheme != Scheme.F32_RAW:
+        raise MalformedChunk(f"weights chunk {w_chunk.scheme.name}; want F32_RAW")
     n, want = w_chunk.num_elements, Scheme.Q8_BLOCKWISE if bits == 8 else Scheme.F32_RAW
     for c in (m_chunk, v_chunk):
         if c.num_elements != n or c.scheme != want or (bits == 8 and c.block_size != block_size):
@@ -552,8 +555,8 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     except ConfigError as e:
         raise MalformedChunk(f"checkpoint header: {e}") from None
     if bits == 32:
-        m_chunk, v_chunk = codec.decode_f32(m_chunk), codec.decode_f32(v_chunk)
-    w = codec.decode_f32(w_chunk)
+        m_chunk, v_chunk = codec.decode(m_chunk), codec.decode(v_chunk)
+    w = codec.decode(w_chunk)
     # What save_checkpoint refuses; 8-bit state decodes finite. NaN fails
     # the comparison too.
     for t in (w, m_chunk, v_chunk) if bits == 32 else (w,):

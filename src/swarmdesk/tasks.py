@@ -14,7 +14,6 @@ to take a batch whole.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -193,28 +192,3 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
         layers=layers,
     )
 
-
-_FACTORIES = {
-    "quadratic": lambda seed, dim=20, n_samples=1024: make_quadratic(dim, seed, n_samples),
-    "logreg": lambda seed, n_samples=4096, dim=20: make_logreg(n_samples, dim, seed),
-    "tiny_mlp": lambda seed, n_samples=128: make_tiny_mlp(seed, n_samples),
-}
-
-
-def make_task(name: str, seed: int, **kwargs) -> Task:
-    """Build a task by name; ``kwargs`` are that task's size parameters.
-
-    An unknown task name or keyword, or a seed that is not an integer
-    >= 0, raises ``ConfigError``.
-    """
-    try:
-        factory = _FACTORIES[name]
-    except (KeyError, TypeError):  # TypeError: a name that cannot be hashed
-        raise ConfigError(
-            f"unknown task {name!r}; choose from {sorted(_FACTORIES)}"
-        ) from None
-    try:
-        inspect.signature(factory).bind(seed, **kwargs)
-    except TypeError as e:
-        raise ConfigError(f"task {name!r}: {e}") from None
-    return factory(seed, **kwargs)

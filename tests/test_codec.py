@@ -62,10 +62,32 @@ class TestSelectScheme:
             codec.select_scheme(n)
 
 
+_LOSSLESS = CodecPolicy(lossless=True)
+
+
+def _encode_f32(t: TensorBuf) -> codec.QuantizedChunk:
+    """The F32_RAW chunk of ``t``, from ``encode``, its only encoder."""
+    return codec.encode(t, _LOSSLESS)
+
+
+def _raw_f32(t: TensorBuf) -> codec.QuantizedChunk:
+    """The F32_RAW chunk of ``t``, built by hand from its little-endian bytes."""
+    return codec.QuantizedChunk(
+        Scheme.F32_RAW, t.num_elements, 0, np.zeros(0, np.float32), t.data.astype("<f4").tobytes()
+    )
+
+
+def _released() -> memoryview:
+    """A view that can no longer be read."""
+    view = memoryview(bytes(40))
+    view.release()
+    return view
+
+
 _CODERS = {
     Scheme.Q8_BLOCKWISE: (lambda t: codec.quantize_q8(t, 8), codec.dequantize_q8),
     Scheme.F16: (codec.encode_f16, codec.decode_f16),
-    Scheme.F32_RAW: (codec.encode_f32, codec.decode_f32),
+    Scheme.F32_RAW: (_raw_f32, lambda c: TensorBuf(np.frombuffer(c.payload, "<f4"))),
 }
 
 
@@ -283,7 +305,7 @@ class TestDequantizeQ8:
     )
     def test_chunk_of_another_scheme_is_refused(self, use):
         t = TensorBuf([1.0, -2.0])
-        other = codec.encode_f32(t) if use is codec.decode_f16 else codec.encode_f16(t)
+        other = _encode_f32(t) if use is codec.decode_f16 else codec.encode_f16(t)
         with pytest.raises(MalformedChunk):
             use(other)
 
@@ -342,7 +364,7 @@ class TestF16:
         out = codec.decode_f16(c).data
         assert np.array_equal(out, x.astype(np.float16).astype(np.float32))
 
-    @pytest.mark.parametrize("encode", [codec.encode_f16, codec.encode_f32])
+    @pytest.mark.parametrize("encode", [codec.encode_f16, _encode_f32])
     @pytest.mark.parametrize(
         "values",
         [[1.0, np.nan], [7e4, np.nan], [np.nan, -7e4], [np.inf, -7e4], [np.inf], [-np.inf]],
@@ -352,12 +374,12 @@ class TestF16:
         with pytest.raises(NonFiniteInput):
             encode(TensorBuf(values))
 
-    @pytest.mark.parametrize("encode", [codec.encode_f16, codec.encode_f32])
+    @pytest.mark.parametrize("encode", [codec.encode_f16, _encode_f32])
     def test_float_encoders_take_an_empty_tensor(self, encode):
         c = encode(TensorBuf(np.zeros(0, np.float32)))
         assert (c.num_elements, c.scales.size, len(c.payload)) == (0, 0, 0)
 
-    @pytest.mark.parametrize("encode, itemsize", [(codec.encode_f32, 4), (codec.encode_f16, 2)])
+    @pytest.mark.parametrize("encode, itemsize", [(_encode_f32, 4), (codec.encode_f16, 2)])
     def test_float_encoders_copy_once(self, encode, itemsize):
         """The converted array is the payload; nothing else tensor-sized is
         allocated (the input is 4 bytes per element)."""
@@ -405,7 +427,7 @@ class TestEncodedSize:
             for make, scheme in (
                 (lambda u: codec.quantize_q8(u, 256), Scheme.Q8_BLOCKWISE),
                 (codec.encode_f16, Scheme.F16),
-                (codec.encode_f32, Scheme.F32_RAW),
+                (_encode_f32, Scheme.F32_RAW),
             ):
                 raw = codec.chunk_to_bytes(make(t))
                 assert len(raw) == codec.encoded_size(scheme, n, 256)
@@ -425,7 +447,7 @@ class TestWireLayout:
         for chunk in (
             codec.quantize_q8(t, 32),
             codec.encode_f16(t),
-            codec.encode_f32(t),
+            _encode_f32(t),
         ):
             back = codec.chunk_from_bytes(codec.chunk_to_bytes(chunk))
             assert back.scheme == chunk.scheme
@@ -441,10 +463,36 @@ class TestWireLayout:
         with pytest.raises(MalformedChunk):
             codec.chunk_from_bytes(b"TQC1" + bytes(4))
 
-    @pytest.mark.parametrize("raw", ["TQC1" + "\0" * 40, None, 7], ids=["str", "None", "int"])
+    @pytest.mark.parametrize(
+        "raw",
+        ["TQC1" + "\0" * 40, None, 7,
+         # every other byte of a twice-repeated valid chunk: its bytes, strided
+         np.repeat(np.frombuffer(codec.chunk_to_bytes(codec.encode_f16(TensorBuf([1.0]))),
+                                 np.uint8), 2)[::2],
+         _released()],
+        ids=["str", "None", "int", "strided", "released"],
+    )
     def test_non_buffer_is_malformed(self, raw):
+        """Anything but a C-contiguous buffer is refused, also a strided
+        view of valid chunk bytes and a released view."""
         with pytest.raises(MalformedChunk, match="bytes-like buffer"):
             codec.chunk_from_bytes(raw)
+
+    @pytest.mark.parametrize(
+        "view",
+        [lambda raw: np.frombuffer(raw, np.uint32), lambda raw: memoryview(raw).cast("H"),
+         lambda raw: np.frombuffer(raw, np.uint32).reshape(2, -1)],
+        ids=["uint32", "cast-H", "2-D"],
+    )
+    @pytest.mark.parametrize("encode", [_encode_f32, lambda t: codec.quantize_q8(t, 4)],
+                             ids=["f32", "q8"])
+    def test_wide_item_views_read_as_their_bytes(self, view, encode):
+        """A buffer is measured and sliced in bytes, whatever its item type."""
+        raw = codec.chunk_to_bytes(encode(TensorBuf(np.linspace(-1.0, 1.0, 8, dtype=np.float32))))
+        assert len(raw) % 8 == 0  # whole uint32 items, in two rows
+        got, want = codec.chunk_from_bytes(view(raw)), codec.chunk_from_bytes(raw)
+        assert codec.chunk_to_bytes(got) == codec.chunk_to_bytes(want) == raw
+        assert codec.decode(got).data.tobytes() == codec.decode(want).data.tobytes()
 
     def test_determinism(self):
         rng = np.random.default_rng(13)
@@ -615,7 +663,7 @@ def test_encoding_is_deterministic(data, block_size, group):
     encoders = [
         lambda t: codec.quantize_q8(t, block_size),
         lambda t: codec.encode_f16(TensorBuf(np.clip(t.data, -codec.F16_MAX, codec.F16_MAX))),
-        codec.encode_f32,
+        _encode_f32,
     ]
     with mock.patch.object(codec, "_GROUP", group):
         for encode in encoders:
@@ -687,7 +735,7 @@ def test_encoded_q8_chunks_pass_the_constructor(n, block_size, kinds, seed, grou
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.floats(min_value=-65504, max_value=65504, width=32), max_size=100),
-    st.sampled_from([codec.encode_f16, codec.encode_f32]),
+    st.sampled_from([codec.encode_f16, _encode_f32]),
 )
 def test_encoded_float_chunks_pass_the_constructor(values, encode):
     _assert_constructor_rebuilds(encode(TensorBuf(np.array(values, np.float32))))
@@ -718,7 +766,7 @@ def test_stepped_8bit_moments_pass_the_constructor(algo, n, block_size, scale, s
 _FUZZ_X = TensorBuf(np.linspace(-3.0, 3.0, 37, dtype=np.float32))
 _FUZZ_CHUNKS = [
     codec.chunk_to_bytes(c)
-    for c in (codec.quantize_q8(_FUZZ_X, 8), codec.encode_f16(_FUZZ_X), codec.encode_f32(_FUZZ_X))
+    for c in (codec.quantize_q8(_FUZZ_X, 8), codec.encode_f16(_FUZZ_X), _encode_f32(_FUZZ_X))
 ]
 
 

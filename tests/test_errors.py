@@ -101,8 +101,8 @@ _SETTINGS = {
     }),
     "quantize_q8": (lambda block_size: codec.quantize_q8(_ZEROS, block_size),
                     {"block_size": [1, 2, 4096]}),
-    "pack_state": (lambda state_bits, block_size: optim.pack_state(_STATE, state_bits, block_size),
-                   {"state_bits": [8, 32], "block_size": [1, 4096]}),
+    "pack_state": (lambda block_size: optim.pack_state(_STATE, block_size),
+                   {"block_size": [1, 4096]}),
     "QuantizedChunk": (
         lambda scheme, num_elements, block_size: codec.QuantizedChunk(
             scheme, num_elements, block_size, np.ones(2, np.float32), bytes(5)),
@@ -121,9 +121,13 @@ _SETTINGS = {
         {"seed": [0, 7], "n_samples": [1, 10]},
     ),
 }
-# Settings whose valid values allocate that many elements; the fuzz draws
-# them at most 100, as it does task sizes.
-_ALLOCATES = {"init_state", "make_quadratic", "make_logreg", "make_tiny_mlp"}
+# The keywords of each call whose values allocate that many elements; the
+# fuzz draws them at most 100, so a task holds at most 10**4 samples'
+# features. It draws other integers, seeds too, up to 2**70 in magnitude.
+_ALLOCATES = {
+    "init_state": {"num_params"}, "make_quadratic": {"dim", "n_samples"},
+    "make_logreg": {"n_samples", "dim"}, "make_tiny_mlp": {"n_samples"},
+}
 
 
 def _succeeds_or_refuses(call):
@@ -141,9 +145,13 @@ def test_malformed_settings_raise_swarm_errors(name, data):
     SwarmError, never a bare TypeError or ValueError."""
     call, valid = _SETTINGS[name]
     bad = data.draw(st.sets(st.sampled_from(sorted(valid))), label="malformed")
-    ints = st.integers(-3, 100) if name in _ALLOCATES else st.integers(-(2**70), 2**70)
+    sizes = _ALLOCATES.get(name, ())
+
+    def malformed(key):
+        return _malformed(st.integers(-3, 100) if key in sizes else st.integers(-(2**70), 2**70))
+
     kwargs = {
-        key: data.draw(_malformed(ints) if key in bad else st.sampled_from(values), label=key)
+        key: data.draw(malformed(key) if key in bad else st.sampled_from(values), label=key)
         for key, values in valid.items()
     }
     _succeeds_or_refuses(lambda: call(**kwargs))
@@ -250,28 +258,3 @@ def test_bool_trust_clip_and_lr_are_refused():
     st0 = optim.init_state(4, optim.OptimConfig())
     with pytest.raises(SwarmError):
         optim.optimizer_step(w, w, st0, optim.OptimConfig(), True)
-
-
-# Each task's size keywords; their sizes stay small enough to build.
-_TASK_SIZES = {"quadratic": ("dim", "n_samples"), "logreg": ("n_samples", "dim"),
-               "tiny_mlp": ("n_samples",)}
-
-
-@pytest.mark.parametrize("name", _TASK_SIZES)
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_malformed_task_settings_raise_swarm_errors(name, data):
-    """Seeds, size keywords and unknown keywords: a task is built or a
-    SwarmError is raised. Sizes stay at most 100, so a task holds at most
-    10**4 samples' features."""
-    seed = data.draw(st.sampled_from([0, 7]) | _malformed(st.integers(-(2**70), 2**70)))
-    keys = data.draw(st.sets(st.sampled_from([*_TASK_SIZES[name], "dimm"])))
-    kwargs = {key: data.draw(_malformed(st.integers(-3, 100)), label=key) for key in sorted(keys)}
-    _succeeds_or_refuses(lambda: tasks.make_task(name, seed, **kwargs))
-
-
-@pytest.mark.parametrize("name, key", [(n, k) for n, keys in _TASK_SIZES.items() for k in keys])
-def test_task_size_refusals_name_the_size(name, key):
-    with pytest.raises(SwarmError) as error:
-        tasks.make_task(name, 0, **{key: -1})
-    _assert_names(error, key, _TASK_SIZES[name])

@@ -283,7 +283,7 @@ class TestPackedState:
         m = rng.standard_normal(5000).astype(np.float32)
         v = (rng.standard_normal(5000).astype(np.float32)) ** 2
         st = OptimState(m=TensorBuf(m), v=TensorBuf(v), step=3)
-        packed = pack_state(st, 8, block_size=256)
+        packed = pack_state(st, block_size=256)
         un = unpack_state(packed)
         assert np.all(np.abs(m - un.m.data) <= codec.roundtrip_error_bound(packed.m))
         root_err = np.abs(np.sqrt(v) - np.sqrt(un.v.data))
@@ -295,8 +295,8 @@ class TestPackedState:
         m = rng.standard_normal(2048).astype(np.float32)
         v = (rng.standard_normal(2048) ** 2).astype(np.float32)
         st = OptimState(m=TensorBuf(m), v=TensorBuf(v))
-        p1 = pack_state(st, 8)
-        p2 = pack_state(unpack_state(p1), 8)
+        p1 = pack_state(st)
+        p2 = pack_state(unpack_state(p1))
         assert codec.chunk_to_bytes(p1.m) == codec.chunk_to_bytes(p2.m)
         assert codec.chunk_to_bytes(p1.v) == codec.chunk_to_bytes(p2.v)
 
@@ -305,14 +305,14 @@ class TestPackedState:
         v = np.abs(rng.standard_normal(1000)).astype(np.float32) * 1e-4
         st = OptimState(m=TensorBuf(np.zeros(1000, np.float32)), v=TensorBuf(v))
         for _ in range(3):
-            st = unpack_state(pack_state(st, 8))
+            st = unpack_state(pack_state(st))
             assert np.all(st.v.data >= 0.0)
 
     def test_state_nbytes_counts_the_moment_buffers(self):
         n, bs = 100, 16
         st = init_state(n, OptimConfig.adam())
         assert optim.state_nbytes(st) == 8 * n
-        packed = pack_state(st, 8, bs)
+        packed = pack_state(st, bs)
         assert optim.state_nbytes(packed) == 2 * (n + 4 * 7)  # codes and 7 scales each
 
     @settings(max_examples=200, deadline=None)
@@ -331,7 +331,7 @@ class TestPackedState:
         m[: rng.integers(0, n + 1)] = 0.0
         st = OptimState(m=TensorBuf(m), v=TensorBuf(v), step=int(rng.integers(0, 9)))
         with mock.patch.object(codec, "_GROUP", group):
-            packed = pack_state(st, 8, block_size)
+            packed = pack_state(st, block_size)
             assert _same_state(packed, oracle.pack_state(st, 8, block_size))
             assert _same_state(unpack_state(packed), oracle.unpack_state(packed))
 
@@ -346,11 +346,11 @@ class TestPackedState:
         count, size = codec._layout(codec.Scheme.Q8_BLOCKWISE, n, codec.DEFAULT_BLOCK_SIZE)
         output = 2 * (size + 4 * count)
         pieces = 4 * 4 * codec._GROUP
-        assert _peak(pack_state, st, 8) <= output + pieces + _SLACK
+        assert _peak(pack_state, st) <= output + pieces + _SLACK
 
     def test_unpack_peak_is_its_output_and_piece_buffers(self):
         n, st = self._state_1m()
-        packed = pack_state(st, 8)
+        packed = pack_state(st)
         pieces = 4 * 4 * codec._GROUP
         assert _peak(unpack_state, packed) <= 2 * 4 * n + pieces + _SLACK
 
@@ -423,6 +423,16 @@ class TestCheckpoint:
 
 def _with_crc(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+# F32_RAW chunks come from ``encode`` under this policy.
+_LOSSLESS = codec.CodecPolicy(lossless=True)
+
+
+def _checkpoint_bytes(cfg, n=8):
+    """The checkpoint of ``cfg``'s zero state for ``n`` weights of 1."""
+    w = TensorBuf(np.ones(n, np.float32))
+    return b"".join(optim.checkpoint_parts(cfg, init_state(n, cfg), w))
 
 
 def _same_state(a: OptimState, b: OptimState) -> bool:
@@ -523,7 +533,7 @@ class TestGroupedStep:
             v=TensorBuf((rng.standard_normal(n) ** 2).astype(np.float32)),
             step=3,
         )
-        st = pack_state(st, state_bits, cfg.block_size)
+        st = pack_state(st, cfg.block_size) if state_bits == 8 else unpack_state(st)
 
         def snapshot():
             parts = [w.data.tobytes(), g.data.tobytes()]
@@ -592,8 +602,8 @@ class TestGroupedStep:
         with pytest.raises(ConfigError):
             lamb_step(w, w, st, cfg, 0.01)
         with pytest.raises(ConfigError):
-            pack_state(st, 8, block_size=64)
-        assert pack_state(st, 8, block_size=32) is st
+            pack_state(st, block_size=64)
+        assert pack_state(st, block_size=32) is st
 
 
 class TestCheckpointFormat:
@@ -632,11 +642,35 @@ class TestCheckpointFormat:
             owner = c.payload.obj if isinstance(c.payload, memoryview) else c.payload
             assert memoryview(owner).nbytes <= own < len(raw) / 4
 
-    @pytest.mark.parametrize("buf", ["TOPT" + "\0" * 80, None, [1, 2], 7],
-                             ids=["str", "None", "list", "int"])
+    @pytest.mark.parametrize(
+        "buf",
+        ["TOPT" + "\0" * 80, None, [1, 2], 7,
+         np.repeat(np.frombuffer(_checkpoint_bytes(OptimConfig()), np.uint8), 2)[::2]],
+        ids=["str", "None", "list", "int", "strided"],
+    )
     def test_non_buffer_is_malformed(self, buf):
+        """Anything but a C-contiguous buffer is refused, also a strided
+        view of a valid checkpoint."""
         with pytest.raises(MalformedChunk, match="bytes-like buffer"):
             optim.checkpoint_from_bytes(buf)
+
+    @pytest.mark.parametrize("bits", [32, 8])
+    @pytest.mark.parametrize(
+        "view",
+        [lambda raw: np.frombuffer(raw, np.uint32), lambda raw: memoryview(raw).cast("H")],
+        ids=["uint32", "cast-H"],
+    )
+    def test_wide_item_views_read_as_their_bytes(self, view, bits):
+        """A buffer is measured and sliced in bytes, whatever its item type."""
+        cfg = OptimConfig.lamb(state_bits=bits, block_size=4)
+        w, st, _ = self._run(cfg, n=8, steps=1)
+        raw = b"".join(optim.checkpoint_parts(cfg, st, w))
+        assert len(raw) % 4 == 0  # whole uint32 items
+        cfg2, st2, w2 = optim.checkpoint_from_bytes(view(raw))
+        cfg3, st3, w3 = optim.checkpoint_from_bytes(raw)
+        assert cfg2 == cfg3 == cfg
+        assert w2.data.tobytes() == w3.data.tobytes() == w.data.tobytes()
+        assert _same_state(st2, st3) and _same_state(st2, st)
 
     def test_fp32_load_peak_is_its_output(self):
         """Reading an fp32-state checkpoint allocates its three fp32 outputs
@@ -736,10 +770,10 @@ class TestCheckpointFormat:
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
         parts = [path.read_bytes()[: optim._CKPT_HEAD.size]]
-        optim._write_chunk(parts, codec.encode_f32(w))
+        optim._write_chunk(parts, codec.encode(w, _LOSSLESS))
         short = init_state(7, cfg)
         for buf in (short.m, short.v):
-            optim._write_chunk(parts, buf if short.packed else codec.encode_f32(buf))
+            optim._write_chunk(parts, buf if short.packed else codec.encode(buf, _LOSSLESS))
         path.write_bytes(_with_crc(b"".join(parts)))
         with pytest.raises(MalformedChunk, match="of 7 elements"):
             optim.load_checkpoint(path)
@@ -756,6 +790,15 @@ class TestCheckpointFormat:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["c.topt"]
 
+    def test_weights_in_another_scheme_are_malformed(self):
+        """A CRC-valid checkpoint whose weights chunk is F16, not F32_RAW."""
+        w = TensorBuf(np.ones(8, np.float32))
+        parts = [_checkpoint_bytes(OptimConfig.adam())[: optim._CKPT_HEAD.size]]
+        for chunk in (codec.encode_f16(w), codec.encode(w, _LOSSLESS), codec.encode(w, _LOSSLESS)):
+            optim._write_chunk(parts, chunk)
+        with pytest.raises(MalformedChunk, match="weights chunk F16"):
+            optim.checkpoint_from_bytes(_with_crc(b"".join(parts)))
+
     def test_state_in_another_scheme_is_malformed(self, tmp_path):
         cfg = OptimConfig.adam(state_bits=8)
         w = TensorBuf(np.ones(8, np.float32))
@@ -763,7 +806,7 @@ class TestCheckpointFormat:
         optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
         f16 = replace(codec.encode_f16(w), block_size=cfg.block_size)
         parts = [path.read_bytes()[: optim._CKPT_HEAD.size]]
-        for chunk in (codec.encode_f32(w), f16, f16):
+        for chunk in (codec.encode(w, _LOSSLESS), f16, f16):
             optim._write_chunk(parts, chunk)
         path.write_bytes(_with_crc(b"".join(parts)))
         with pytest.raises(MalformedChunk, match="state chunk F16"):
@@ -973,12 +1016,8 @@ def _init_state(num_params):
     return init_state(num_params, OptimConfig.lamb(state_bits=8))
 
 
-def _pack_state(state_bits):
-    return pack_state(init_state(3, OptimConfig()), state_bits)
-
-
-def _make_task(name="quadratic", seed=0):
-    return tasks.make_task(name, seed)
+def _optim_config_8bit(block_size):
+    return OptimConfig(state_bits=8, block_size=block_size)
 
 
 def _make_quadratic(seed):
@@ -1036,6 +1075,8 @@ def _lamb_step(lr):
             (OptimConfig, "block_size", "a"),
             (OptimConfig, "block_size", 2.5),
             (OptimConfig, "block_size", True),
+            (OptimConfig, "block_size", 2**32),
+            (_optim_config_8bit, "block_size", 2**32),
             (ScheduleConfig, "peak_lr", math.nan),
             (ScheduleConfig, "peak_lr", 1e39),
             (ScheduleConfig, "peak_lr", 1e-50),
@@ -1055,15 +1096,14 @@ def _lamb_step(lr):
             (_init_state, "num_params", True),
             (_init_state, "num_params", 2**62),
             (_init_state_fp32, "num_params", 2**62),
-            (_pack_state, "state_bits", 16),
-            (_make_task, "seed", "a"),
-            (_make_task, "seed", -1),
-            (_make_task, "seed", None),
-            (_make_task, "seed", True),
-            (_make_task, "name", ["x"]),
             (_make_quadratic, "seed", "a"),
+            (_make_quadratic, "seed", -1),
+            (_make_quadratic, "seed", None),
+            (_make_quadratic, "seed", True),
+            (_make_logreg, "seed", "a"),
             (_make_logreg, "seed", -1),
             (tasks.make_tiny_mlp, "seed", None),
+            (tasks.make_tiny_mlp, "seed", True),
             (_quadratic_of_dim, "dim", 2**62),
             (_logreg_of_size, "n_samples", 2**62),
             (_logreg_of_size, "dim", 2**62),
@@ -1079,6 +1119,14 @@ def _lamb_step(lr):
 def test_invalid_config_is_config_error(make, field, value):
     with pytest.raises(ConfigError):
         make(**{field: value})
+
+
+def test_trust_clip_list_is_kept_as_a_tuple():
+    """So the config hashes, and equals the one its checkpoint reads back."""
+    cfg = OptimConfig(trust_clip=[0.0, 10.0])
+    assert type(cfg.trust_clip) is tuple
+    assert cfg == OptimConfig() and hash(cfg) == hash(OptimConfig())
+    assert optim.checkpoint_from_bytes(_checkpoint_bytes(cfg))[0] == cfg
 
 
 def _q8(n, block_size=8):

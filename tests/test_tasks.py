@@ -1,4 +1,4 @@
-"""Tasks: keyword arguments are checked, gradients match finite differences,
+"""Tasks: sizes are checked, gradients match finite differences,
 and a seed fixes the task."""
 
 import hashlib
@@ -13,53 +13,54 @@ from swarmdesk.errors import ConfigError
 
 
 @pytest.mark.parametrize(
-    "name, kwargs, match",
+    "make, match",
     [
-        pytest.param("quadratic", {"dimm": 5}, "dimm", id="quadratic"),
-        pytest.param("logreg", {"dimm": 5}, "dimm", id="logreg"),
-        pytest.param("tiny_mlp", {"dimm": 5}, "dimm", id="tiny_mlp"),
-        pytest.param("quadratic", {"dim": 2.5}, "dim", id="quadratic-dim=2.5"),
-        pytest.param("quadratic", {"dim": True}, "dim", id="quadratic-dim=True"),
-        pytest.param("quadratic", {"n_samples": 0}, "n_samples", id="quadratic-n_samples=0"),
-        pytest.param("logreg", {"n_samples": None}, "n_samples", id="logreg-n_samples=None"),
-        pytest.param("logreg", {"dim": "a"}, "dim", id="logreg-dim=a"),
-        pytest.param("tiny_mlp", {"n_samples": -3}, "n_samples", id="tiny_mlp-n_samples=-3"),
-        pytest.param("tiny_mlp", {"n_samples": 0}, "n_samples", id="tiny_mlp-n_samples=0"),
+        pytest.param(lambda: tasks.make_quadratic(2.5, 0), "dim", id="quadratic-dim=2.5"),
+        pytest.param(lambda: tasks.make_quadratic(True, 0), "dim", id="quadratic-dim=True"),
+        pytest.param(lambda: tasks.make_quadratic(20, 0, n_samples=0), "n_samples",
+                     id="quadratic-n_samples=0"),
+        pytest.param(lambda: tasks.make_logreg(None, 20, 0), "n_samples",
+                     id="logreg-n_samples=None"),
+        pytest.param(lambda: tasks.make_logreg(4096, "a", 0), "dim", id="logreg-dim=a"),
+        pytest.param(lambda: tasks.make_tiny_mlp(0, n_samples=-3), "n_samples",
+                     id="tiny_mlp-n_samples=-3"),
+        pytest.param(lambda: tasks.make_tiny_mlp(0, n_samples=0), "n_samples",
+                     id="tiny_mlp-n_samples=0"),
     ],
 )
-def test_unknown_kwarg_is_config_error(name, kwargs, match):
-    """An unknown keyword, and a size that is not an integer >= 1, are refused."""
+def test_bad_size_is_config_error(make, match):
+    """A size that is not an integer >= 1 is refused, naming the size."""
     with pytest.raises(ConfigError, match=match):
-        tasks.make_task(name, 0, **kwargs)
+        make()
 
 
 @pytest.mark.parametrize(
-    "name, kwargs, dim, n_samples",
+    "make, dim, n_samples",
     [
-        ("quadratic", {"dim": 5, "n_samples": 10}, 5, 10),
-        ("logreg", {"n_samples": 10, "dim": 3}, 3, 10),
-        ("tiny_mlp", {"n_samples": 10}, 97, 10),
-        ("logreg", {}, 20, 4096),
+        pytest.param(lambda: tasks.make_quadratic(5, 0, n_samples=10), 5, 10, id="quadratic"),
+        pytest.param(lambda: tasks.make_logreg(10, 3, 0), 3, 10, id="logreg"),
+        pytest.param(lambda: tasks.make_tiny_mlp(0, n_samples=10), 97, 10, id="tiny_mlp"),
+        pytest.param(lambda: tasks.make_quadratic(5, 0), 5, 1024, id="quadratic-default"),
+        pytest.param(lambda: tasks.make_tiny_mlp(0), 97, 128, id="tiny_mlp-default"),
     ],
 )
-def test_known_kwargs_size_the_task(name, kwargs, dim, n_samples):
-    task = tasks.make_task(name, 0, **kwargs)
+def test_sizes_size_the_task(make, dim, n_samples):
+    task = make()
     assert (task.param_dim, task.n_samples) == (dim, n_samples)
 
 
-def test_unknown_task_is_config_error():
-    with pytest.raises(ConfigError):
-        tasks.make_task("transformer", 0)
+# Each factory at a small size, as a function of the seed.
+TASKS = [
+    pytest.param(lambda seed: tasks.make_quadratic(5, seed, n_samples=10), id="quadratic"),
+    pytest.param(lambda seed: tasks.make_logreg(10, 3, seed), id="logreg"),
+    pytest.param(lambda seed: tasks.make_tiny_mlp(seed, n_samples=10), id="tiny_mlp"),
+]
 
 
-TASKS = [("quadratic", {"dim": 5, "n_samples": 10}), ("logreg", {"n_samples": 10, "dim": 3}),
-         ("tiny_mlp", {"n_samples": 10})]
-
-
-@pytest.mark.parametrize("name, kwargs", TASKS)
-def test_grad_matches_central_differences(name, kwargs):
+@pytest.mark.parametrize("make", TASKS)
+def test_grad_matches_central_differences(make):
     """batch_grad_sum / batch size is the gradient of batch_loss, the mean loss."""
-    task = tasks.make_task(name, 3, **kwargs)
+    task = make(3)
     rng = np.random.default_rng(4)
     params = task.init_params + rng.standard_normal(task.param_dim)
     idx = np.array([0, 2, 3, 7, 7])
@@ -72,9 +73,9 @@ def test_grad_matches_central_differences(name, kwargs):
     np.testing.assert_allclose(task.batch_grad_sum(params, idx) / len(idx), fd, rtol=1e-6, atol=1e-8)
 
 
-@pytest.mark.parametrize("name, kwargs", TASKS)
-def test_same_seed_same_task(name, kwargs):
-    a, b, other = (tasks.make_task(name, seed, **kwargs) for seed in (5, 5, 6))
+@pytest.mark.parametrize("make", TASKS)
+def test_same_seed_same_task(make):
+    a, b, other = (make(seed) for seed in (5, 5, 6))
     params = np.linspace(-1.0, 1.0, a.param_dim)
     idx = np.arange(a.n_samples)
     assert a.init_params.tobytes() == b.init_params.tobytes()
@@ -102,9 +103,9 @@ def test_tiny_mlp_bytes_are_pinned():
     assert digest.hexdigest() == "112ba59cad03e44d24f22df1785c0eeced49a2c858f8e6e4ae449a48f3ae80c2"
 
 
-@pytest.mark.parametrize("name, kwargs", TASKS)
-def test_full_loss_is_the_mean_over_every_sample(name, kwargs):
-    task = tasks.make_task(name, 2, **kwargs)
+@pytest.mark.parametrize("make", TASKS)
+def test_full_loss_is_the_mean_over_every_sample(make):
+    task = make(2)
     params = np.linspace(-1.0, 1.0, task.param_dim)
     per_sample = [task.batch_loss(params, np.array([i])) for i in range(task.n_samples)]
     assert task.full_loss(params) == pytest.approx(np.mean(per_sample), rel=1e-12)
@@ -169,11 +170,11 @@ def test_logreg_memory_is_one_row_block_whatever_the_batch():
     assert loss_peak <= block + 3 * 8 * n + slack  # margins, -z, their logaddexp
 
 
-@pytest.mark.parametrize("name, kwargs", TASKS)
-def test_empty_batch(name, kwargs):
+@pytest.mark.parametrize("make", TASKS)
+def test_empty_batch(make):
     """An empty batch sums to a zero gradient; its mean loss is undefined
     and refused with ConfigError by every task."""
-    task = tasks.make_task(name, 0, **kwargs)
+    task = make(0)
     params = np.ones(task.param_dim)
     for empty in ([], np.array([], np.int64)):
         grad = task.batch_grad_sum(params, empty)
