@@ -2,13 +2,14 @@
 
 ``codec``: blockwise 8-bit (Q8), binary16 and raw fp32 tensor encodings and
 their wire format; raw fp32 is reached only through ``encode`` and
-``decode``. ``optim``: Adam and LAMB with a warmup/decay schedule,
-optimizer state kept in fp32 or 8 bits (``pack_state`` and
-``unpack_state`` convert it), and a resumable checkpoint, as bytes or as a
-file. ``tasks``: closed-form training tasks with analytic gradients that
-stand in for the model, each built by its own factory: ``make_quadratic``,
-``make_logreg`` and ``make_tiny_mlp``. ``errors``: the exception types, and
-the coercions and the range check that settings go through.
+``decode``. ``optim``: Adam and LAMB in one step function,
+``optimizer_step``, with a warmup/decay schedule, optimizer state kept in
+fp32 or 8 bits (``pack_state`` and ``unpack_state`` convert it), and a
+resumable checkpoint, as bytes or as a file. ``tasks``: closed-form
+training tasks with analytic gradients that stand in for the model, each
+built by its own factory: ``make_quadratic``, ``make_logreg`` and
+``make_tiny_mlp``. ``errors``: the exception types, and the coercions and
+the range check that settings go through.
 """
 
 __version__ = "0.1.0"

@@ -134,8 +134,9 @@ class QuantizedChunk:
     is -128. It raises ``MalformedChunk`` when they do not. The encoders
     build their chunks with ``_valid``, which checks nothing, since each has
     checked its input and made every field valid by construction.
-    The constructor keeps ``scales`` as a read-only fp32 view, not a copy.
-    ``payload`` stays ``bytes`` when it is ``bytes``;
+    The constructor keeps a read-only fp32 ``scales`` array as it is and
+    copies anything else (a writable array, a list) into a read-only fp32
+    array. ``payload`` stays ``bytes`` when it is ``bytes``;
     a read-only, C-contiguous buffer (a read-only array, a view of bytes) is
     kept as a ``memoryview`` of format ``"B"``, not a copy, and anything
     else (a ``bytearray``, a writable array) is copied once into ``bytes``.
@@ -155,7 +156,10 @@ class QuantizedChunk:
         except ValueError:
             raise MalformedChunk(f"unknown scheme {self.scheme!r}") from None
         try:
-            scales = np.asarray(self.scales, np.float32).view()
+            scales = np.asarray(self.scales, np.float32)
+            # copied when writable, as a writable payload is, so that its
+            # owner cannot change the chunk
+            scales = scales.copy() if scales.flags.writeable else scales
             if not isinstance(self.payload, bytes):
                 view = memoryview(self.payload)
                 # format "B", so that it equals bytes with the same content
@@ -219,8 +223,9 @@ class CodecPolicy:
     lossless: bool = False
 
     def __post_init__(self):
-        for key in ("q8_threshold", "block_size"):
-            object.__setattr__(self, key, checked_int(getattr(self, key), key, ConfigError, lo=1))
+        # block_size: the range a chunk header holds
+        for key, hi in (("q8_threshold", np.inf), ("block_size", 2**32)):
+            object.__setattr__(self, key, checked_int(getattr(self, key), key, ConfigError, 1, hi))
 
 
 def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
@@ -430,9 +435,9 @@ def _buffer(raw) -> memoryview:
 
 
 def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
-    """The chunk in the buffer ``raw``; its payload is a view of ``raw``,
-    not a copy. Its scales are copied, so that they cannot change with a
-    writable ``raw``, as the constructor copies a writable payload."""
+    """The chunk in the buffer ``raw``. Its scales and payload view ``raw``
+    when ``raw`` is read-only; the constructor copies each of them once
+    when it is writable."""
     view = _buffer(raw)
     if len(view) < HEADER_BYTES:
         raise MalformedChunk(f"chunk shorter than header: {len(view)} bytes")
@@ -442,7 +447,7 @@ def chunk_from_bytes(raw: bytes) -> QuantizedChunk:
     off = HEADER_BYTES + 4 * scale_count
     if len(view) < off:
         raise MalformedChunk("truncated scales")
-    scales = np.frombuffer(bytes(view[HEADER_BYTES:off]), dtype="<f4")
+    scales = np.frombuffer(view[HEADER_BYTES:off], dtype="<f4")
     return QuantizedChunk(scheme, n, block_size, scales, view[off:])
 
 

@@ -4,12 +4,15 @@ All moment math runs in 32-bit: when the state is stored 8-bit it is
 decoded, updated, and encoded again each step, so the drift per step is
 bounded by the codec's error bound.
 
-Adam and LAMB share one update formula. A step computes the direction
-r = mhat / (sqrt(vhat) + eps) + wd * w and writes the new weights
-w - (lr * ratio) * r over r in place as soon as the ratio is known. LAMB's
-ratio is each layer's clamped trust ratio ||w|| / ||r||, known once the
-layer's r is whole; Adam's is 1. A named-layer partition must tile the
-parameter vector in order; with none, the whole vector is one layer.
+Adam and LAMB share one update formula, and one function computes a
+step: ``optimizer_step``, which runs the algorithm its config names;
+``adam_step`` and ``lamb_step`` are that call with the algorithm forced.
+A step computes the direction r = mhat / (sqrt(vhat) + eps) + wd * w and
+writes the new weights w - (lr * ratio) * r over r in place as soon as the
+ratio is known. LAMB's ratio is each layer's clamped trust ratio
+||w|| / ||r||, known once the layer's r is whole; Adam's is 1. A
+named-layer partition must tile the parameter vector in order; with none,
+the whole vector is one layer.
 
 One function, ``_walk_state``, holds the format the state is stored in.
 It walks the vector in the codec's pieces (``codec._pieces``: runs of
@@ -45,7 +48,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -304,16 +307,6 @@ def _require_state_fits(st: OptimState, w: TensorBuf):
         raise ShapeMismatch(f"optimizer state sized {st.num_elements}, weights {w.num_elements}")
 
 
-def _check_inputs(w: TensorBuf, g: TensorBuf, st: OptimState):
-    if w.num_elements != g.num_elements:
-        raise ShapeMismatch(f"weights have {w.num_elements} elements, gradient {g.num_elements}")
-    _require_state_fits(st, w)
-    # 2**64 is the least fp32 magnitude whose square, and so v, overflows;
-    # NaN fails this comparison too
-    if not codec._absmax(g.data) < 2.0**64:
-        raise NonFiniteGradient("gradient contains NaN, Inf or a magnitude >= 2**64")
-
-
 def _partition(layers, n: int) -> list[tuple[int, int]]:
     """The (start, stop) of each layer. A layer's slice of r is overwritten
     with its new weights, so no later layer may read it again: the layers
@@ -340,18 +333,32 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(x.dot(x)))
 
 
-def _grouped_step(w, g, st, cfg, lr, layers, clip):
-    """LAMB, or Adam when ``clip`` is None, as the ``update`` of a walk over
-    the state (``_walk_state``), which reads and stores m and v per piece.
+def optimizer_step(
+    w: TensorBuf,
+    g: TensorBuf,
+    st: OptimState,
+    cfg: OptimConfig,
+    lr: float,
+    layers=None,
+) -> tuple[TensorBuf, OptimState]:
+    """One step of ``cfg.algorithm``, LAMB or Adam, as the ``update`` of a
+    walk over the state (``_walk_state``), which reads and stores m and v
+    per piece: the one function that computes a step.
 
     Per piece the update computes the new m and v in fp32 and writes the
     piece's slice of the direction r = mhat / (sqrt(vhat) + eps) + wd * w.
     The new weights w - (lr * ratio) * r are written over r in place as
     soon as the ratio is known: Adam's is 1, so each piece's slice right
     after the piece; LAMB takes each layer's ratio from the norms of its w
-    and r slices, so each layer once the pieces have written all of its r.
-    Every value comes from the same fp32 operations in the same order as on
-    whole vectors, so the result does not depend on how the vector is cut.
+    and r slices, clamped to ``cfg.trust_clip`` (``trust_ratio``), so each
+    layer once the pieces have written all of its r. Every value comes from
+    the same fp32 operations in the same order as on whole vectors, so the
+    result does not depend on how the vector is cut.
+
+    ``layers`` is LAMB's partition: a sequence of (name, start, stop)
+    half-open slices that tile the parameter vector in order; None or an
+    empty sequence treats the whole vector as one layer. A partition that
+    does not tile raises ``ShapeMismatch``. Adam does not read it.
 
     Every operation writes with ``out=`` into memory the step owns: the
     walk's piece buffers and new state, and r. ``w``, ``g`` and the old
@@ -359,7 +366,13 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
     element: 4 bytes for r, which becomes the new weights, and the new
     state (fp32: 8 bytes; 8-bit: 2).
     """
-    _check_inputs(w, g, st)
+    if w.num_elements != g.num_elements:
+        raise ShapeMismatch(f"weights have {w.num_elements} elements, gradient {g.num_elements}")
+    _require_state_fits(st, w)
+    # 2**64 is the least fp32 magnitude whose square, and so v, overflows;
+    # NaN fails this comparison too
+    if not codec._absmax(g.data) < 2.0**64:
+        raise NonFiniteGradient("gradient contains NaN, Inf or a magnitude >= 2**64")
     _require_block_size(st, cfg.block_size)
     if not 0.0 <= as_f32(lr):
         raise ConfigError(f"lr must be finite and >= 0 in fp32, got {lr!r}")
@@ -369,6 +382,8 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
     step = st.step + 1
     c1, c2 = one - b1 ** np.float32(step), one - b2 ** np.float32(step)
     eps, wd = np.float32(cfg.epsilon), np.float32(cfg.weight_decay)
+    # LAMB clamps each layer's ratio to the clip; Adam, without one, takes 1.
+    clip = cfg.trust_clip if cfg.algorithm == Algorithm.LAMB else None
     # The slices of r that take one ratio each and whose new weights are not
     # written yet, the next one last: LAMB's layers, or Adam's pieces.
     todo = (codec._pieces(n, bs) if clip is None else _partition(layers, n))[::-1]
@@ -399,18 +414,19 @@ def _grouped_step(w, g, st, cfg, lr, layers, clip):
     return TensorBuf(r), new_st
 
 
-def adam_step(
-    w: TensorBuf, g: TensorBuf, st: OptimState, cfg: OptimConfig, lr: float
-) -> tuple[TensorBuf, OptimState]:
-    """One Adam step with decoupled weight decay: LAMB with the ratio fixed at 1."""
-    return _grouped_step(w, g, st, cfg, lr, None, None)
-
-
 def trust_ratio(w_norm: float, r_norm: float, clip: tuple[float, float]) -> float:
     """LAMB layer ratio ||w||/||r||, clamped; 1 when either norm is zero."""
     if w_norm == 0.0 or r_norm == 0.0:
         return 1.0
     return float(min(max(w_norm / r_norm, clip[0]), clip[1]))
+
+
+def adam_step(
+    w: TensorBuf, g: TensorBuf, st: OptimState, cfg: OptimConfig, lr: float
+) -> tuple[TensorBuf, OptimState]:
+    """``optimizer_step`` with Adam, whatever ``cfg.algorithm`` says: decoupled
+    weight decay, LAMB with the ratio fixed at 1."""
+    return optimizer_step(w, g, st, replace(cfg, algorithm=Algorithm.ADAM), lr)
 
 
 def lamb_step(
@@ -421,27 +437,9 @@ def lamb_step(
     lr: float,
     layers=None,
 ) -> tuple[TensorBuf, OptimState]:
-    """One LAMB step: Adam direction rescaled per layer by the trust ratio.
-
-    ``layers`` is a sequence of (name, start, stop) half-open slices that
-    tile the parameter vector in order; None or an empty sequence treats
-    the whole vector as one layer. A partition that does not tile raises
-    ``ShapeMismatch``.
-    """
-    return _grouped_step(w, g, st, cfg, lr, layers, cfg.trust_clip)
-
-
-def optimizer_step(
-    w: TensorBuf,
-    g: TensorBuf,
-    st: OptimState,
-    cfg: OptimConfig,
-    lr: float,
-    layers=None,
-) -> tuple[TensorBuf, OptimState]:
-    if cfg.algorithm == Algorithm.LAMB:
-        return lamb_step(w, g, st, cfg, lr, layers)
-    return adam_step(w, g, st, cfg, lr)
+    """``optimizer_step`` with LAMB, whatever ``cfg.algorithm`` says: the Adam
+    direction rescaled per layer of ``layers`` by the trust ratio."""
+    return optimizer_step(w, g, st, replace(cfg, algorithm=Algorithm.LAMB), lr, layers)
 
 
 # --- checkpoint io ---------------------------------------------------------

@@ -316,6 +316,11 @@ class TestDequantizeQ8:
             c.scales[0] = np.nan
         payload[0] = 0
         assert c.payload == b"\x7f\x01"
+        # the writable scales array was copied, as the writable payload was
+        scales[0] = np.inf
+        assert c.scales.tolist() == [1.0]
+        assert codec.decode(c).data.tolist() == [127.0, 1.0]
+        assert codec.chunk_from_bytes(codec.chunk_to_bytes(c)) == c
 
     def test_read_only_payload_is_kept_and_writable_is_copied(self):
         scales = np.array([1.0], np.float32)
@@ -454,6 +459,19 @@ class TestWireLayout:
             assert back.num_elements == chunk.num_elements
             assert back.payload == chunk.payload
             np.testing.assert_array_equal(back.scales, chunk.scales)
+
+    def test_read_only_bytes_are_viewed_and_writable_ones_copied(self):
+        """A chunk read from read-only bytes views its scales and payload in
+        them; one read from a writable buffer copies both, so that writing
+        the buffer afterwards does not change it."""
+        raw = codec.chunk_to_bytes(codec.quantize_q8(TensorBuf([1.0, -0.5, 2.0]), 2))
+        kept, whole = codec.chunk_from_bytes(raw), np.frombuffer(raw, np.uint8)
+        assert np.shares_memory(kept.scales, whole)
+        assert np.shares_memory(np.frombuffer(kept.payload, np.uint8), whole)
+        buf = bytearray(raw)
+        copied = codec.chunk_from_bytes(buf)
+        buf[codec.HEADER_BYTES:] = b"\xff" * (len(buf) - codec.HEADER_BYTES)
+        assert codec.chunk_to_bytes(copied) == raw
 
     def test_bad_magic(self):
         with pytest.raises(MalformedChunk):

@@ -606,6 +606,50 @@ class TestGroupedStep:
         assert pack_state(st, block_size=32) is st
 
 
+@pytest.mark.parametrize("algo", ["adam", "lamb"])
+@pytest.mark.parametrize("bits", [32, 8])
+@settings(max_examples=25, deadline=None)
+@given(
+    n=hs.integers(0, 300),
+    block_size=hs.sampled_from([1, 3, 8, 64, 4096]),
+    group=hs.sampled_from([1, 5, 64, codec._GROUP]),
+    cuts=hs.lists(hs.integers(0, 300), max_size=4),
+    wd=hs.sampled_from([0.0, 0.01]),
+    seed=hs.integers(0, 2**32 - 1),
+)
+def test_adam_and_lamb_step_force_their_algorithm(bits, algo, n, block_size, group, cuts, wd, seed):
+    """``adam_step`` and ``lamb_step`` are ``optimizer_step`` with the
+    algorithm forced, bit for bit, whichever algorithm the config names,
+    and each matches the oracle of its own algorithm."""
+    cfg = getattr(OptimConfig, algo)(state_bits=bits, block_size=block_size, weight_decay=wd)
+    edges = sorted({0, n, *(min(c, n) for c in cuts)})
+    layers = tuple((f"l{i}", a, b) for i, (a, b) in enumerate(zip(edges, edges[1:])))
+    adam, lamb = replace(cfg, algorithm=Algorithm.ADAM), replace(cfg, algorithm=Algorithm.LAMB)
+    rng = np.random.default_rng(seed)
+    w = TensorBuf(rng.standard_normal(n).astype(np.float32))
+    st = init_state(n, cfg)
+    with mock.patch.object(codec, "_GROUP", group):
+        for _ in range(3):
+            g = TensorBuf((rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2)).astype(np.float32))
+            runs = {
+                Algorithm.ADAM: (
+                    adam_step(w, g, st, cfg, 0.01),
+                    optim.optimizer_step(w, g, st, adam, 0.01, layers),
+                    oracle.lamb_step(w, g, st, _unit_clip(cfg), 0.01),
+                ),
+                Algorithm.LAMB: (
+                    lamb_step(w, g, st, cfg, 0.01, layers),
+                    optim.optimizer_step(w, g, st, lamb, 0.01, layers),
+                    oracle.lamb_step(w, g, st, cfg, 0.01, layers),
+                ),
+            }
+            for (got_w, got_st), *others in runs.values():
+                for want_w, want_st in others:
+                    assert got_w.data.tobytes() == want_w.data.tobytes()
+                    assert _same_state(got_st, want_st)
+            w, st = runs[cfg.algorithm][0]
+
+
 class TestCheckpointFormat:
     def _run(self, cfg, n=300, steps=2):
         rng = np.random.default_rng(67)
@@ -641,6 +685,8 @@ class TestCheckpointFormat:
         for c in (st2.m, st2.v):
             owner = c.payload.obj if isinstance(c.payload, memoryview) else c.payload
             assert memoryview(owner).nbytes <= own < len(raw) / 4
+            # the scales are in the same bytes, not a second copy
+            assert np.shares_memory(c.scales, np.frombuffer(owner, np.uint8))
 
     @pytest.mark.parametrize(
         "buf",
@@ -1091,6 +1137,7 @@ def _lamb_step(lr):
             (codec.CodecPolicy, "block_size", None),
             (codec.CodecPolicy, "block_size", 2.5),
             (codec.CodecPolicy, "block_size", True),
+            (codec.CodecPolicy, "block_size", 2**32),
             (_init_state, "num_params", -1),
             (_init_state, "num_params", 2.5),
             (_init_state, "num_params", True),
