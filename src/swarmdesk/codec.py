@@ -23,9 +23,9 @@ Two working schemes plus a raw passthrough:
   fp32 optimizer state, and for exact comparisons. It is encoded only by
   ``encode`` under ``CodecPolicy(lossless=True)`` and decoded by ``decode``.
 
-Scheme selection is a pure threshold on element count: large tensors go
-8-bit, everything else 16-bit. All rounding is round-half-to-even so that
-encoded bytes are identical across runs and platforms.
+``encode`` selects the scheme from a ``CodecPolicy`` and the element count
+alone; its docstring states the rule. All rounding is round-half-to-even so
+that encoded bytes are identical across runs and platforms.
 
 Two value types carry the data. A ``TensorBuf`` is a flat fp32 vector. A
 ``QuantizedChunk`` is one encoded tensor. Its constructor checks a chunk
@@ -211,7 +211,8 @@ class QuantizedChunk:
 
 @dataclass(frozen=True)
 class CodecPolicy:
-    """Scheme-selection policy: tensors with >= q8_threshold elements go 8-bit.
+    """The settings of ``encode``'s scheme selection: tensors with at least
+    q8_threshold elements go 8-bit, in blocks of block_size.
 
     ``lossless=True`` selects F32_RAW for every tensor: an exact fp32 wire,
     the lossless anchor, over which a collaborative round is to match a
@@ -226,14 +227,6 @@ class CodecPolicy:
         # block_size: the range a chunk header holds
         for key, hi in (("q8_threshold", np.inf), ("block_size", 2**32)):
             object.__setattr__(self, key, checked_int(getattr(self, key), key, ConfigError, 1, hi))
-
-
-def select_scheme(n: int, policy: CodecPolicy = CodecPolicy()) -> Scheme:
-    """Pick the wire scheme for an n-element tensor (pure threshold, monotone)."""
-    n = checked_int(n, "n", MalformedChunk)
-    if policy.lossless:
-        return Scheme.F32_RAW
-    return Scheme.Q8_BLOCKWISE if n >= policy.q8_threshold else Scheme.F16
 
 
 # Elements per run of whole blocks in _pieces, rounded to blocks. The
@@ -387,14 +380,18 @@ def decode_f16(c: QuantizedChunk) -> TensorBuf:
 
 
 def encode(t: TensorBuf, policy: CodecPolicy = CodecPolicy()) -> QuantizedChunk:
-    """Encode under the policy's scheme selection. Every scheme refuses NaN
-    and Inf with ``NonFiniteInput``, the lossless F32_RAW too."""
-    scheme = select_scheme(t.num_elements, policy)
-    if scheme == Scheme.Q8_BLOCKWISE:
+    """Encode ``t`` in the scheme the policy selects from its element count
+    alone: every tensor as F32_RAW when ``policy.lossless``; else a tensor of
+    at least ``policy.q8_threshold`` elements as Q8 in blocks of
+    ``policy.block_size`` (``quantize_q8``), and a smaller one, an empty one
+    too, as F16 (``encode_f16``). So the choice is monotone in the count: no
+    larger tensor goes back to F16. Every scheme refuses NaN and Inf with
+    ``NonFiniteInput``, the lossless F32_RAW too."""
+    if policy.lossless:
+        return _encode_float(t.require_finite(), Scheme.F32_RAW)
+    if t.num_elements >= policy.q8_threshold:
         return quantize_q8(t, policy.block_size)
-    if scheme == Scheme.F16:
-        return encode_f16(t)
-    return _encode_float(t.require_finite(), Scheme.F32_RAW)
+    return encode_f16(t)
 
 
 def decode(c: QuantizedChunk) -> TensorBuf:

@@ -132,8 +132,9 @@ class OptimConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}") from None
         # each check is written so that NaN fails it, and is made on the
         # fp32 value that the step computes with
-        if not (0.0 <= as_f32(self.beta1) < 1.0 and 0.0 <= as_f32(self.beta2) < 1.0):
-            raise ConfigError("betas must be in [0, 1) in fp32")
+        for key in ("beta1", "beta2"):
+            if not 0.0 <= as_f32(getattr(self, key)) < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1) in fp32")
         if not 0.0 < as_f32(self.epsilon):
             raise ConfigError("epsilon must be finite and > 0 in fp32")
         if not 0.0 <= as_f32(self.weight_decay):

@@ -1,9 +1,10 @@
 """Closed-form training tasks standing in for the real model.
 
 Each task gives the mean loss and the analytic sum of per-sample gradients
-of any non-empty batch of sample indices over a flat parameter vector, so
-summing peers' gradient sums and dividing by their sample count is exactly
-the batch gradient. Task math runs in float64; the caller casts to fp32 at the
+of any non-empty batch of sample indices over a flat parameter vector of
+the task's size (another shape raises ``ShapeMismatch``), so summing peers'
+gradient sums and dividing by their sample count is exactly the batch
+gradient. Task math runs in float64; the caller casts to fp32 at the
 tensor boundary. Everything is a deterministic function of (seed, config).
 
 Logistic regression walks a batch in blocks of rows of about 4 MiB of
@@ -21,26 +22,43 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, allocating, checked_int
+from .errors import ConfigError, ShapeMismatch, allocating, checked_int
 
 
 @dataclass(frozen=True)
 class Task:
-    param_dim: int
+    """A task's samples, its initial parameters, and its two functions of
+    (params, indices): ``batch_loss``, the mean loss of the batch, and
+    ``batch_grad_sum``, the sum of its per-sample gradients, both of float64
+    params. ``param_dim`` is not stored: it is the size of ``init_params``,
+    so a task built by ``dataclasses.replace`` cannot disagree with itself.
+    ``layers`` is LAMB's partition of the parameters, (name, start, stop) in
+    order; the default, ``()``, makes the whole vector one layer.
+    """
+
     n_samples: int
     init_params: np.ndarray
-    batch_loss: Callable  # (params f64, indices) -> mean loss, float
-    batch_grad_sum: Callable  # (params f64, indices) -> sum of per-sample grads
-    layers: tuple = ()  # (name, start, stop) partition for LAMB
+    batch_loss: Callable
+    batch_grad_sum: Callable
+    layers: tuple = ()
+
+    @property
+    def param_dim(self) -> int:
+        return self.init_params.size
 
     def full_loss(self, params) -> float:
         return self.batch_loss(params, np.arange(self.n_samples))
 
 
-def _require_samples(indices):
-    """Every task's ``batch_loss`` refuses an empty batch, whose mean loss
-    is undefined; its ``batch_grad_sum`` is the zero vector."""
-    if len(indices) == 0:
+def _check_inputs(params, indices, dim: int, mean: bool):
+    """The input check of every task's ``batch_loss`` (``mean``) and
+    ``batch_grad_sum``: params that are not one vector of ``dim`` elements
+    raise ``ShapeMismatch``, where numpy would broadcast or slice them into
+    a wrong value. The mean loss of an empty batch is undefined and raises
+    ``ConfigError``; its gradient sum is the zero vector."""
+    if np.shape(params) != (dim,):
+        raise ShapeMismatch(f"params must have shape ({dim},), got {np.shape(params)}")
+    if mean and len(indices) == 0:
         raise ConfigError("batch_loss of an empty batch: a mean over no samples")
 
 
@@ -55,20 +73,19 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
         init = np.zeros(dim, np.float64)
 
     def batch_loss(params, indices):
-        _require_samples(indices)
+        _check_inputs(params, indices, dim, mean=True)
         d = params - w_star
         return 0.5 * float(d @ d)
 
     def batch_grad_sum(params, indices):
+        _check_inputs(params, indices, dim, mean=False)
         return (params - w_star) * float(len(indices))
 
     return Task(
-        param_dim=dim,
         n_samples=n_samples,
         init_params=init,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
-        layers=(("w", 0, dim),),
     )
 
 
@@ -111,7 +128,7 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
         return coef @ xb
 
     def batch_loss(params, indices):
-        _require_samples(indices)
+        _check_inputs(params, indices, dim, mean=True)
         z = np.empty(len(indices))
         for start in range(0, len(indices), rows):
             ib = indices[start : start + rows]
@@ -119,18 +136,17 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
         return float(np.mean(np.logaddexp(0.0, -z)))
 
     def batch_grad_sum(params, indices):
+        _check_inputs(params, indices, dim, mean=False)
         out = np.zeros(dim)
         for start in range(0, len(indices), rows):
             out += block_grad_sum(params, indices[start : start + rows])
         return out
 
     return Task(
-        param_dim=dim,
         n_samples=n_samples,
         init_params=init,
         batch_loss=batch_loss,
         batch_grad_sum=batch_grad_sum,
-        layers=(("w", 0, dim),),
     )
 
 
@@ -166,12 +182,13 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
         return (a @ weights["w2"].T + weights["b2"])[:, 0], a
 
     def batch_loss(params, indices):
-        _require_samples(indices)
+        _check_inputs(params, indices, dim, mean=True)
         pred, _ = forward(unpack(params), x[indices])
         r = pred - y[indices]
         return 0.5 * float(np.mean(r * r))
 
     def batch_grad_sum(params, indices):
+        _check_inputs(params, indices, dim, mean=False)
         weights = unpack(params)
         xi = x[indices]
         pred, a = forward(weights, xi)
@@ -184,7 +201,6 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
         return np.concatenate([g_w1.ravel(), g_b1, g_w2, [g_b2]])  # in the order of shapes
 
     return Task(
-        param_dim=dim,
         n_samples=n_samples,
         init_params=init,
         batch_loss=batch_loss,

@@ -94,7 +94,6 @@ _SETTINGS = {
     "lr_at": (lambda step: optim.lr_at(step, _SCHEDULE), {"step": [0, 5, 10]}),
     "init_state": (lambda num_params: optim.init_state(num_params, _Q8_CONFIG),
                    {"num_params": [0, 5]}),
-    "select_scheme": (codec.select_scheme, {"n": [0, 65536]}),
     "encoded_size": (codec.encoded_size, {
         "scheme": sorted(codec.Scheme, key=lambda s: s != codec.Scheme.Q8_BLOCKWISE),
         "n": [0, 5000], "block_size": [1, 4096],
@@ -215,6 +214,17 @@ def test_integer_refusals_name_the_setting(name, key):
     kwargs = {k: values[0] for k, values in valid.items()}
     with pytest.raises(SwarmError) as error:
         call(**{**kwargs, key: -1})
+    _assert_names(error, key, valid)
+
+
+@pytest.mark.parametrize("name, key", _REAL)
+def test_real_refusals_name_the_setting(name, key):
+    """A negative real setting is refused with a message that names its
+    keyword as the caller spells it, and no other keyword."""
+    call, valid = _SETTINGS[name]
+    kwargs = {k: values[0] for k, values in valid.items()}
+    with pytest.raises(SwarmError) as error:
+        call(**{**kwargs, key: -1.0})
     _assert_names(error, key, valid)
 
 

@@ -4,12 +4,13 @@ and a seed fixes the task."""
 import hashlib
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from swarmdesk import tasks
-from swarmdesk.errors import ConfigError
+from swarmdesk.errors import ConfigError, ShapeMismatch
 
 
 @pytest.mark.parametrize(
@@ -47,6 +48,13 @@ def test_bad_size_is_config_error(make, match):
 def test_sizes_size_the_task(make, dim, n_samples):
     task = make()
     assert (task.param_dim, task.n_samples) == (dim, n_samples)
+
+
+def test_param_dim_is_the_size_of_init_params():
+    """A task's size follows its initial parameters, also in a copy that
+    replaces them."""
+    task = replace(tasks.make_quadratic(5, 0), init_params=np.zeros(7))
+    assert task.param_dim == 7
 
 
 # Each factory at a small size, as a function of the seed.
@@ -181,3 +189,17 @@ def test_empty_batch(make):
         assert grad.shape == (task.param_dim,) and not grad.any()
         with pytest.raises(ConfigError, match="empty batch"):
             task.batch_loss(params, empty)
+
+
+@pytest.mark.parametrize("make", TASKS)
+def test_params_of_another_shape_are_refused(make):
+    """Params that are not one vector of the task's size raise
+    ShapeMismatch from both functions, where numpy would broadcast them,
+    or slice the ones a layer reads, into a wrong value."""
+    task = make(0)
+    dim, idx = task.param_dim, np.arange(task.n_samples)
+    for shape in [(), (1,), (dim - 1,), (dim + 1,), (dim, 1), (1, dim), (2, dim)]:
+        params = np.ones(shape)
+        for f in (task.batch_loss, task.batch_grad_sum):
+            with pytest.raises(ShapeMismatch, match=rf"\({dim},\)"):
+                f(params, idx)
