@@ -152,10 +152,6 @@ class QuantizedChunk:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "scheme", Scheme(as_int(self.scheme)))
-        except ValueError:
-            raise MalformedChunk(f"unknown scheme {self.scheme!r}") from None
-        try:
             scales = np.asarray(self.scales, np.float32)
             # copied when writable, as a writable payload is, so that its
             # owner cannot change the chunk
@@ -174,7 +170,9 @@ class QuantizedChunk:
         # the ranges the wire header holds
         for key, hi in (("num_elements", 2**64), ("block_size", 2**32)):
             object.__setattr__(self, key, checked_int(getattr(self, key), key, MalformedChunk, 0, hi))
+        # _layout refuses an unknown scheme, so the cast cannot fail
         want = _layout(self.scheme, self.num_elements, self.block_size)
+        object.__setattr__(self, "scheme", Scheme(as_int(self.scheme)))
         if (scales.size, len(self.payload)) != want:
             raise MalformedChunk(
                 f"{self.scheme.name} chunk needs {want[0]} scales and {want[1]} payload "

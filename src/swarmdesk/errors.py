@@ -23,7 +23,9 @@ class NonFiniteInput(SwarmError):
 
 class NonFiniteGradient(SwarmError):
     """A gradient produced or received during training is not finite, or
-    has a magnitude of 2**64 or more, whose square overflows fp32."""
+    has a magnitude of 2**63 or more. The square of 2**64 overflows fp32,
+    and 8-bit state, which stores sqrt(v) in Q8, can decode a magnitude
+    just below 2**64 as 2**64, so that v overflows one step later."""
 
 
 class MalformedChunk(SwarmError):
@@ -57,18 +59,17 @@ class ConfigError(SwarmError):
 # becomes NaN, which fails the range test, so it is refused with the
 # caller's error instead of a TypeError. The caller keeps the returned
 # value, so a numpy integer goes on as a Python int, whose arithmetic
-# neither wraps nor overflows. ``as_int`` and ``as_real`` test the exact
-# built-in type first: an isinstance test against a numbers ABC takes about
-# 0.4 us, and an optimizer step makes two per layer.
+# neither wraps nor overflows. An isinstance test against a numbers ABC
+# takes about 0.4 us, and an optimizer step calls ``as_int`` twice per
+# layer, so ``as_int`` tests ``int`` and ``as_real`` the exact type
+# ``float`` first: an int or a float never reaches the ABC.
 
 
 def as_int(value):
     """``value`` if it is an int (an ``IntEnum`` member too), ``int(value)``
     if it is a numpy integer, else NaN; a bool is not an integer here,
     though Python makes it a subclass of int."""
-    if type(value) is int:
-        return value
-    if isinstance(value, int):  # an IntEnum member, or a bool
+    if isinstance(value, int):  # an IntEnum member and a bool too
         return math.nan if type(value) is bool else value
     return int(value) if isinstance(value, numbers.Integral) else math.nan
 

@@ -108,9 +108,9 @@ def lr_at(step: int, s: ScheduleConfig) -> float:
     w = s.warmup_steps
     if step < w:
         return s.peak_lr * (step / w)
-    if step == w:
-        return s.peak_lr
-    t = (step - w) / (s.total_steps - w)
+    # t = 0 at step w gives peak_lr exactly; the max only keeps
+    # warmup_fraction=1.0 from dividing by zero there
+    t = (step - w) / max(s.total_steps - w, 1)
     return s.peak_lr * (1.0 - t) + s.end_lr * t
 
 
@@ -370,10 +370,12 @@ def optimizer_step(
     if w.num_elements != g.num_elements:
         raise ShapeMismatch(f"weights have {w.num_elements} elements, gradient {g.num_elements}")
     _require_state_fits(st, w)
-    # 2**64 is the least fp32 magnitude whose square, and so v, overflows;
-    # NaN fails this comparison too
-    if not codec._absmax(g.data) < 2.0**64:
-        raise NonFiniteGradient("gradient contains NaN, Inf or a magnitude >= 2**64")
+    # 2**64 is the least fp32 magnitude whose square, and so v, overflows,
+    # and 8-bit state can decode the stored sqrt(v) of a magnitude just
+    # below it as 2**64; below 2**63, m, v and the decoded state stay
+    # finite. NaN fails this comparison too.
+    if not codec._absmax(g.data) < 2.0**63:
+        raise NonFiniteGradient("gradient contains NaN, Inf or a magnitude >= 2**63")
     _require_block_size(st, cfg.block_size)
     if not 0.0 <= as_f32(lr):
         raise ConfigError(f"lr must be finite and >= 0 in fp32, got {lr!r}")
@@ -513,11 +515,12 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     ``load_checkpoint`` reads it from a file or as ``checkpoint_parts``
     joined. Another version raises ``MalformedChunk``, and bytes that do not
     match the CRC-32 raise ``ChecksumMismatch``. NaN or Inf in the weights
-    or in fp32 moments, which ``save_checkpoint`` refuses, and any other
-    inconsistency raise ``MalformedChunk``. Every chunk is read as a view of
-    ``buf``: the weights and fp32 moments are decoded from it into new
-    arrays, and the 8-bit moments, which the state keeps, copy their own
-    bytes once. Nothing returned holds on to ``buf``.
+    or in fp32 moments, which ``save_checkpoint`` refuses, 8-bit v that
+    would square to Inf, and any other inconsistency raise
+    ``MalformedChunk``. Every chunk is read as a view of ``buf``: the
+    weights and fp32 moments are decoded from it into new arrays, and the
+    8-bit moments, which the state keeps, copy their own bytes once.
+    Nothing returned holds on to ``buf``.
     """
     view = codec._buffer(buf).toreadonly()
     if view[:4] != CKPT_MAGIC:
@@ -556,11 +559,15 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     if bits == 32:
         m_chunk, v_chunk = codec.decode(m_chunk), codec.decode(v_chunk)
     w = codec.decode(w_chunk)
-    # What save_checkpoint refuses; 8-bit state decodes finite. NaN fails
-    # the comparison too.
+    # What save_checkpoint refuses; NaN fails the comparison too. 8-bit m
+    # decodes finite. 8-bit v holds sqrt(v), which the step decodes and
+    # squares, finite only below 2**64; the largest magnitude it decodes to
+    # is 127 times its largest scale.
     for t in (w, m_chunk, v_chunk) if bits == 32 else (w,):
         if not codec._absmax(t.data) < math.inf:
             raise MalformedChunk("checkpoint weights or moments hold NaN or Inf")
+    if bits == 8 and not np.float32(127) * v_chunk.scales.max(initial=0) < 2.0**64:
+        raise MalformedChunk("checkpoint 8-bit v holds a sqrt(v) of 2**64 or more")
     return cfg, OptimState(m=m_chunk, v=v_chunk, step=step), w
 
 

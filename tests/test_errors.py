@@ -1,5 +1,6 @@
 """Every error class the package declares is raised somewhere in it, and
-malformed settings are refused with one of them."""
+malformed settings are refused with one of them; the package's version is
+the one the project declares."""
 
 import ast
 import math
@@ -31,6 +32,11 @@ def _raised_names() -> set[str]:
                 elif isinstance(exc, ast.Attribute):
                     names.add(exc.attr)
     return names
+
+
+def test_version_is_the_one_the_project_declares():
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M)[1] == swarmdesk.__version__
 
 
 def test_every_error_class_has_a_raise_site():

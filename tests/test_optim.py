@@ -99,6 +99,13 @@ class TestSchedule:
         hits = [step for step in range(101) if lr_at(step, s) == 0.123]
         assert hits == [30]
 
+    def test_warmup_to_the_last_step_ends_at_peak(self):
+        """warmup_fraction=1.0 puts the peak at total_steps, where the decay
+        has no steps left to divide by."""
+        s = ScheduleConfig(total_steps=10, warmup_fraction=1.0, peak_lr=0.123)
+        assert lr_at(10, s) == 0.123
+        assert lr_at(5, s) == 0.123 * 0.5
+
     def test_continuity(self):
         s = ScheduleConfig(total_steps=500, warmup_fraction=0.1, peak_lr=1.0)
         lrs = [lr_at(k, s) for k in range(501)]
@@ -159,21 +166,37 @@ class TestAdam:
             adam_step(TensorBuf([0.0]),
                       TensorBuf([np.nan]), st, cfg, 0.1)
 
+    @pytest.mark.parametrize("beta2", [0.999, 0.0])
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("bits", [32, 8])
-    def test_gradient_whose_square_overflows_is_refused(self, bits, sign):
+    def test_gradient_whose_square_overflows_is_refused(self, bits, sign, beta2):
         """A finite |g| >= 2**64 squares to Inf in fp32, which would freeze
-        its weight for good; the largest fp32 below 2**64 steps from a fresh
-        state to a finite state."""
-        cfg = OptimConfig.adam(state_bits=bits)
+        its weight for good, and with beta2 = 0 8-bit state decodes the
+        sqrt(v) of the largest fp32 below 2**64 as 2**64; so the bound is
+        2**63. The largest fp32 below 2**63 steps from a fresh state to a
+        finite state, and on from there."""
+        cfg = OptimConfig.adam(state_bits=bits, beta2=beta2)
         w, st = TensorBuf(np.ones(4, np.float32)), init_state(4, cfg)
         with pytest.raises(NonFiniteGradient):
-            adam_step(w, TensorBuf([sign * 2.0**64, 1.0, 1.0, 1.0]), st, cfg, 0.1)
-        below = np.nextafter(np.float32(2.0**64), np.float32(0.0))
+            adam_step(w, TensorBuf([sign * 2.0**63, 1.0, 1.0, 1.0]), st, cfg, 0.1)
+        below = np.nextafter(np.float32(2.0**63), np.float32(0.0))
         new_w, new_st = adam_step(w, TensorBuf([sign * below, 1.0, 1.0, 1.0]), st, cfg, 0.1)
+        new_w, new_st = adam_step(new_w, TensorBuf(np.ones(4, np.float32)), new_st, cfg, 0.1)
         new_st = unpack_state(new_st)
         for buf in (new_w, new_st.m, new_st.v):
             assert np.isfinite(buf.data).all()
+
+    @pytest.mark.parametrize("state_n", [3, 7], ids=["shorter", "longer"])
+    @pytest.mark.parametrize("bits", [32, 8])
+    @pytest.mark.parametrize("algo", ["adam", "lamb"])
+    def test_state_of_another_length_is_refused(self, algo, bits, state_n):
+        """Without the check, shorter fp32 state would leave the last
+        weights' directions uninitialized, and longer state would raise
+        numpy's bare ValueError."""
+        cfg = getattr(OptimConfig, algo)(state_bits=bits, block_size=4)
+        w = TensorBuf(np.ones(5, np.float32))
+        with pytest.raises(ShapeMismatch, match="optimizer state sized"):
+            optim.optimizer_step(w, w, init_state(state_n, cfg), cfg, 0.1)
 
     def test_deterministic(self):
         cfg = OptimConfig.adam(weight_decay=0.01)
@@ -415,10 +438,26 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == []
 
     def test_magic_check(self, tmp_path):
+        """A valid checkpoint with only its magic changed, CRC recomputed."""
         path = tmp_path / "junk"
-        path.write_bytes(b"NOPE" + bytes(100))
-        with pytest.raises(Exception):
+        path.write_bytes(_with_crc(b"NOPE" + _checkpoint_bytes(OptimConfig())[4:-4]))
+        with pytest.raises(MalformedChunk, match="bad magic"):
             optim.load_checkpoint(path)
+
+    def test_temporary_file_is_whole_when_synced(self, tmp_path):
+        """Everything written is flushed before ``fsync``, which syncs only
+        what the file already holds."""
+        cfg = OptimConfig.lamb(state_bits=8)
+        w = TensorBuf(np.ones(8, np.float32))
+        sizes, fsync = [], os.fsync
+
+        def recording_fsync(fd):
+            sizes.append(os.fstat(fd).st_size)
+            fsync(fd)
+
+        with mock.patch.object(optim.os, "fsync", recording_fsync):
+            optim.save_checkpoint(tmp_path / "c.topt", cfg, init_state(8, cfg), w)
+        assert sizes == [len(_checkpoint_bytes(cfg))]
 
 
 def _with_crc(body: bytes) -> bytes:
@@ -799,6 +838,37 @@ class TestCheckpointFormat:
             with pytest.raises(MalformedChunk):
                 optim.load_checkpoint(path)
 
+    def test_chunk_that_runs_past_the_trailer_is_malformed(self):
+        """The weights chunk's length prefix points past the CRC trailer."""
+        body = bytearray(_checkpoint_bytes(OptimConfig.adam())[:-4])
+        at = optim._CKPT_HEAD.size
+        body[at : at + 4] = struct.pack("<I", len(body))
+        with pytest.raises(MalformedChunk, match="ends inside its chunk table"):
+            optim.checkpoint_from_bytes(_with_crc(bytes(body)))
+
+    @pytest.mark.parametrize("algo", ["adam", "lamb"])
+    def test_8bit_v_that_squares_to_inf_is_malformed(self, algo):
+        """8-bit v stores sqrt(v); a block of code 127 whose scale makes
+        127 * scale 2**64 in fp32 would square to Inf on the next step. The
+        largest scale below it loads, and steps to finite state."""
+        n, cfg = 4, getattr(OptimConfig, algo)(state_bits=8, beta2=0.0, block_size=4)
+        w, m = TensorBuf(np.ones(n, np.float32)), init_state(n, cfg).m
+
+        def checkpoint_with_v_scale(scale):
+            v = codec.QuantizedChunk(codec.Scheme.Q8_BLOCKWISE, n, 4, [scale], bytes([127] * n))
+            return b"".join(optim.checkpoint_parts(cfg, OptimState(m, v, 1), w))
+
+        scale = np.float32(2.0**64 / 127)
+        assert np.float32(127) * scale == 2.0**64
+        with pytest.raises(MalformedChunk, match=r"2\*\*64"):
+            optim.checkpoint_from_bytes(checkpoint_with_v_scale(scale))
+        below = checkpoint_with_v_scale(np.nextafter(scale, np.float32(0.0)))
+        cfg2, st2, w2 = optim.checkpoint_from_bytes(below)
+        w2, st2 = optim.optimizer_step(w2, w2, st2, cfg2, 0.1)
+        st2 = unpack_state(st2)
+        for buf in (w2, st2.m, st2.v):
+            assert np.isfinite(buf.data).all()
+
     def test_trailing_bytes_are_malformed(self, tmp_path):
         cfg = OptimConfig.adam()
         w, st, _ = self._run(cfg, n=8, steps=1)
@@ -1174,6 +1244,13 @@ def test_trust_clip_list_is_kept_as_a_tuple():
     assert type(cfg.trust_clip) is tuple
     assert cfg == OptimConfig() and hash(cfg) == hash(OptimConfig())
     assert optim.checkpoint_from_bytes(_checkpoint_bytes(cfg))[0] == cfg
+
+
+def test_beta2_defaults_to_each_algorithm_s_own():
+    """LAMB's beta2 is 0.95 unless one is given, Adam's 0.999."""
+    assert OptimConfig.lamb().beta2 == 0.95
+    assert OptimConfig.lamb(beta2=0.5).beta2 == 0.5
+    assert OptimConfig.adam().beta2 == 0.999 == OptimConfig().beta2
 
 
 def _q8(n, block_size=8):
