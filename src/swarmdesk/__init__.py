@@ -4,9 +4,10 @@
 their wire format; ``encode`` selects the scheme from a ``CodecPolicy`` and
 the element count, and raw fp32 is reached only through ``encode`` and
 ``decode``. ``optim``: Adam and LAMB in one step function,
-``optimizer_step``, with a warmup/decay schedule, optimizer state kept in
-fp32 or 8 bits (``pack_state`` and ``unpack_state`` convert it), and a
-resumable checkpoint, as bytes or as a file. ``tasks``: closed-form
+``optimizer_step``, with a warmup/decay schedule, optimizer state whose
+two moments are codec chunks, fp32 (F32_RAW) or 8-bit (Q8), which
+``pack_state`` and ``unpack_state`` convert, and a resumable checkpoint,
+as bytes or as a file, that holds those chunks as they are. ``tasks``: closed-form
 training tasks with analytic gradients that stand in for the model, each
 built by its own factory: ``make_quadratic``, ``make_logreg`` and
 ``make_tiny_mlp``. A ``Task``'s size is that of its initial parameters, and

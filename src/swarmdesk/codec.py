@@ -307,9 +307,10 @@ def quantize_q8(t: TensorBuf, block_size: int = DEFAULT_BLOCK_SIZE) -> Quantized
     and a fixed amount.
     The chunk keeps the codes array as its payload, read-only.
     """
+    # refuses, naming the value given, a block_size that _pieces cannot take
+    # or the header cannot hold
+    count, size = _layout(Scheme.Q8_BLOCKWISE, t.num_elements, block_size)
     x, n, block_size = t.data, t.num_elements, as_int(block_size)
-    # refuses a block_size that _pieces cannot take or the header cannot hold
-    count, size = _layout(Scheme.Q8_BLOCKWISE, n, block_size)
     scales, codes = np.empty(count, np.float32), np.empty(size, np.int8)
     pieces = _pieces(n, block_size)
     quot, rounded = np.empty((2, max((b - a for a, b in pieces), default=0)), np.float32)
@@ -464,9 +465,11 @@ def roundtrip_error_bound(c: QuantizedChunk) -> np.ndarray:
     ``code * scale`` in decode, the float64 division in encode, and the
     underflow of a scale below the smallest fp32 subnormal. Half a scale
     alone is exceeded, by up to 127 * 2**-23 of itself, when decode rounds
-    away from x.
+    away from x. It allocates per element, not per block: the last block
+    is repeated only as often as it has elements.
     """
     if c.scheme != Scheme.Q8_BLOCKWISE:
         raise MalformedChunk("error bound is defined for Q8 chunks")
     per_block = c.scales.astype(np.float64) * _ERR_PER_SCALE + _ERR_UNDERFLOW
-    return np.repeat(per_block, c.block_size)[: c.num_elements]
+    counts = np.minimum(c.block_size, c.num_elements - c.block_size * np.arange(per_block.size))
+    return np.repeat(per_block, counts)

@@ -18,7 +18,9 @@ class SwarmError(Exception):
 
 
 class NonFiniteInput(SwarmError):
-    """A tensor entering a codec boundary contains NaN or Inf."""
+    """A tensor entering a codec boundary contains NaN or Inf, or optimizer
+    state being saved holds moments that no run reaches, whose next step
+    could overflow."""
 
 
 class NonFiniteGradient(SwarmError):
@@ -115,10 +117,11 @@ def checked_int(value, name, error, lo=0, hi=math.inf):
 @contextlib.contextmanager
 def allocating(size: str):
     """Raise ``ConfigError`` naming ``size`` when an allocation in the block
-    fails: numpy raises ``ValueError`` for a size past the address space,
-    and ``MemoryError`` for one the host cannot hold. Wrap only statements
-    whose other errors are ``SwarmError``s."""
+    fails: numpy raises ``ValueError`` and ``bytes`` ``OverflowError`` for a
+    size past the address space, and both raise ``MemoryError`` for one the
+    host cannot hold. Wrap only statements whose other errors are
+    ``SwarmError``s."""
     try:
         yield
-    except (ValueError, MemoryError):
+    except (ValueError, OverflowError, MemoryError):
         raise ConfigError(f"{size} is too large to allocate") from None

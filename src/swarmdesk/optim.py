@@ -14,17 +14,19 @@ ratio is known. LAMB's ratio is each layer's clamped trust ratio
 named-layer partition must tile the parameter vector in order; with none,
 the whole vector is one layer.
 
-One function, ``_walk_state``, holds the format the state is stored in.
-It walks the vector in the codec's pieces (``codec._pieces``: runs of
-whole state blocks, then the partial last block), reading the old m and v
-of each piece and storing the new ones. A step is the walk's
-per-piece update, which also writes the piece's slice of r; ``pack_state``
-(to 8 bits) and ``unpack_state`` (to fp32) are walks that copy. 8-bit
-state is therefore never decoded whole, and a step builds two chunks
-whatever the size. Beyond four piece-sized fp32 buffers that every piece
-reuses, a step's transient memory is r, which becomes the new weights, and
-the new state: 1.5x the parameter bytes with 8-bit state and 3x with fp32
-state.
+The state's moments m and v are always two codec chunks of one scheme and
+one block size: F32_RAW chunks (block size 0) for fp32 state, Q8 chunks
+for 8-bit state. One function, ``_walk_state``, holds the format the state
+is stored in. It walks the vector in the codec's pieces
+(``codec._pieces``: runs of whole state blocks, then the partial last
+block), reading the old m and v of each piece, in place for fp32 state,
+and storing the new ones. A step is the walk's per-piece update, which
+also writes the piece's slice of r; ``pack_state`` (to 8 bits) and
+``unpack_state`` (to fp32) are walks that copy. 8-bit state is therefore
+never decoded whole, and a step builds two chunks whatever the size.
+Beyond four piece-sized fp32 buffers that every piece reuses, a step's
+transient memory is r, which becomes the new weights, and the new state:
+1.5x the parameter bytes with 8-bit state and 3x with fp32 state.
 Packed state must use the config's ``block_size``.
 
 Checkpoint file (version 3, the only one read): magic "TOPT", a fixed
@@ -34,8 +36,11 @@ chunks, each length-prefixed (u32, little-endian), and a CRC-32 (u32) of
 every byte before it. ``checkpoint_parts`` and ``checkpoint_from_bytes``
 are the format over bytes; ``save_checkpoint`` writes the parts to a
 temporary file and renames it into place, and ``load_checkpoint`` reads a
-file back. The reader views every chunk in the bytes it is given and
-copies out only the 8-bit moments, the one payload the loaded state keeps.
+file back. The moment chunks are written and read as the state holds
+them: the reader views every chunk in the bytes it is given, decodes the
+weights, and keeps one copy of each moment chunk's own bytes. Both sides
+refuse, by one rule (``_require_reachable``), weights that are not finite
+and moments that no run reaches.
 The learning-rate schedule and the layer partition are not in the file:
 the caller passes them to every step.
 """
@@ -59,6 +64,7 @@ from .errors import (
     ConfigError,
     MalformedChunk,
     NonFiniteGradient,
+    NonFiniteInput,
     ShapeMismatch,
     StepOutOfRange,
     allocating,
@@ -164,63 +170,68 @@ class OptimConfig:
 
 @dataclass(frozen=True)
 class OptimState:
-    """Moment buffers (fp32 or packed Q8 chunks) and step counter.
+    """Moment chunks and step counter.
 
-    m and v are both fp32 or both Q8 chunks in one block size, of one
-    length; the step is an integer the checkpoint header holds.
+    m and v are codec chunks of one scheme and one block size, of one
+    length: F32_RAW chunks, whose block size is 0, for fp32 state, and Q8
+    chunks for 8-bit state (``_walk_state`` holds the format). The step is
+    an integer the checkpoint header holds.
     """
 
-    m: TensorBuf | QuantizedChunk
-    v: TensorBuf | QuantizedChunk
+    m: QuantizedChunk
+    v: QuantizedChunk
     step: int = 0
 
     def __post_init__(self):
         m, v = self.m, self.v
-        if isinstance(m, QuantizedChunk) and isinstance(v, QuantizedChunk):
-            alike = m.scheme == v.scheme == Scheme.Q8_BLOCKWISE and m.block_size == v.block_size
-        else:
-            alike = isinstance(m, TensorBuf) and isinstance(v, TensorBuf)
-        if not alike:
-            raise ConfigError("m and v must both be fp32 or both Q8 chunks in one block size")
+        alike = isinstance(m, QuantizedChunk) and isinstance(v, QuantizedChunk)
+        alike = alike and (m.scheme, m.block_size) == (v.scheme, v.block_size)
+        bits = 8 if alike and m.scheme == Scheme.Q8_BLOCKWISE else 32
+        if not (alike and (m.scheme, m.block_size) == _state_encoding(bits, m.block_size)):
+            raise ConfigError("m and v must be Q8 chunks of one block size or F32_RAW chunks")
         if m.num_elements != v.num_elements:
             raise ShapeMismatch(f"m has {m.num_elements} elements, v {v.num_elements}")
         object.__setattr__(self, "step", checked_int(self.step, "step", ConfigError, hi=2**64))
 
     @property
     def packed(self) -> bool:
-        return isinstance(self.m, QuantizedChunk)
+        return self.m.scheme == Scheme.Q8_BLOCKWISE
 
     @property
     def num_elements(self) -> int:
         return self.m.num_elements
 
 
+def _state_encoding(state_bits: int, block_size: int) -> tuple[Scheme, int]:
+    """The scheme and block size of state kept in ``state_bits``: Q8 in
+    blocks of ``block_size``, or F32_RAW, whose block size is 0."""
+    return (Scheme.Q8_BLOCKWISE, block_size) if state_bits == 8 else (Scheme.F32_RAW, 0)
+
+
 def init_state(num_params: int, cfg: OptimConfig) -> OptimState:
     """Zero moments for ``num_params`` parameters, in the config's encoding.
 
-    Zero 8-bit state is built directly, all scales 0 and all codes 0, which
-    is what quantizing zeros gives; m and v share the one read-only chunk.
-    A size that cannot be allocated raises ``ConfigError``.
+    Zero state is built directly: all payload bytes 0 and, for 8-bit
+    state, all scales 0, which is what encoding zeros gives; m and v share
+    the one read-only chunk. A size that cannot be allocated raises
+    ``ConfigError``.
     """
     num_params = checked_int(num_params, "num_params", ConfigError)
+    scheme, bs = _state_encoding(cfg.state_bits, cfg.block_size)
     with allocating(f"num_params {num_params}"):
-        if cfg.state_bits == 8:
-            q8, n, bs = Scheme.Q8_BLOCKWISE, num_params, cfg.block_size
-            count, size = codec._layout(q8, n, bs)
-            zeros = QuantizedChunk(q8, n, bs, np.zeros(count, np.float32), bytes(size))
-        else:
-            zeros = TensorBuf(np.zeros(num_params, np.float32))
+        count, size = codec._layout(scheme, num_params, bs)
+        zeros = QuantizedChunk(scheme, num_params, bs, np.zeros(count, np.float32), bytes(size))
     return OptimState(m=zeros, v=zeros, step=0)
 
 
 def pack_state(st: OptimState, block_size: int = DEFAULT_BLOCK_SIZE) -> OptimState:
     """Encode moments to 8 bits in blocks of ``block_size``, in the state
-    format of ``_walk_state``; ``unpack_state`` is the way back to fp32."""
-    block_size = as_int(block_size)
-    if st.packed:
-        _require_block_size(st, block_size)
-        return st
-    return _walk_state(st, True, block_size, st.step)
+    format of ``_walk_state``; ``unpack_state`` is the way back to fp32.
+    A ``block_size`` that is not an integer in [1, 2**32) raises
+    ``ConfigError``."""
+    block_size = checked_int(block_size, "block_size", ConfigError, 1, 2**32)
+    _require_block_size(st, block_size)
+    return st if st.packed else _walk_state(st, 8, block_size, st.step)
 
 
 def _require_block_size(st: OptimState, block_size: int):
@@ -230,10 +241,8 @@ def _require_block_size(st: OptimState, block_size: int):
 
 
 def unpack_state(st: OptimState) -> OptimState:
-    """Decode moments to fp32 buffers, from the state format of ``_walk_state``."""
-    if not st.packed:
-        return st
-    return _walk_state(st, False, st.m.block_size, st.step)
+    """Decode moments to fp32 (F32_RAW) chunks, from the state format of ``_walk_state``."""
+    return _walk_state(st, 32, st.m.block_size, st.step) if st.packed else st
 
 
 def _copy_moments(start, stop, m_old, v_old, m, v, t1, t2):
@@ -242,37 +251,38 @@ def _copy_moments(start, stop, m_old, v_old, m, v, t1, t2):
     np.copyto(v, v_old)
 
 
-def _walk_state(st, out8, block_size, step, update=_copy_moments):
+def _walk_state(st, state_bits, block_size, step, update=_copy_moments):
     """The state after ``st``, built one piece at a time: the one place
     that knows how optimizer state is stored.
 
-    The format: fp32 state holds m and v as they are. 8-bit state holds m
-    and the square root of v (a signed symmetric codebook would waste half
-    its range on a non-negative quantity), each Q8 in blocks of
-    ``block_size``; decoding squares v back, which keeps it non-negative
-    by construction.
+    The format: fp32 state holds m and v as they are, each an F32_RAW
+    chunk. 8-bit state holds m and the square root of v (a signed
+    symmetric codebook would waste half its range on a non-negative
+    quantity), each Q8 in blocks of ``block_size``; decoding squares v
+    back, which keeps it non-negative by construction.
 
-    For each piece of ``codec._pieces`` the walk reads the old m and v:
-    slices of fp32 state, or 8-bit state decoded in place into two piece
-    buffers. ``update(start, stop, m_old, v_old, m, v, t1, t2)`` writes the
-    new m and v; the default update copies the old ones. The walk
-    stores them as slices of new fp32 arrays or, with ``out8``, encodes
-    them into one codes and scales pair per moment, allocated once.
-    ``t1`` and ``t2``, two more piece buffers, are scratch for ``update``
-    and the encoder. So 8-bit state is never decoded whole, and the walk
-    builds two chunks whatever the size. Its transient memory beyond the
-    new state is the four piece-sized fp32 buffers. The old state is only
-    read.
+    For each piece of ``codec._pieces(n, block_size)`` the walk reads the
+    old m and v: slices of the fp32 payloads, viewed in place, or 8-bit
+    state decoded in place into two piece buffers.
+    ``update(start, stop, m_old, v_old, m, v, t1, t2)`` writes the new m
+    and v; the default update copies the old ones. The walk stores them,
+    in ``state_bits``, as slices of two new fp32 arrays or encoded into one
+    codes and scales pair per moment, allocated once, and wraps each pair
+    as a chunk without a copy. ``t1`` and ``t2``, two more piece buffers,
+    are scratch for ``update`` and the encoder. So 8-bit state is never
+    decoded whole, and the walk builds two chunks whatever the size. Its
+    transient memory beyond the new state is the four piece-sized fp32
+    buffers. The old state is only read.
     """
     n = st.num_elements
-    if out8:
-        # _layout first: it refuses a block_size that _pieces cannot take or
-        # a chunk's header cannot hold (fp32 state comes with a valid one)
-        count, size = codec._layout(Scheme.Q8_BLOCKWISE, n, block_size)
-        m_codes, v_codes = np.empty(size, np.int8), np.empty(size, np.int8)
-        m_scales, v_scales = np.empty(count, np.float32), np.empty(count, np.float32)
-    else:
-        new_m, new_v = TensorBuf(np.empty(n, np.float32)), TensorBuf(np.empty(n, np.float32))
+    scheme, out_block_size = _state_encoding(state_bits, block_size)
+    out8 = scheme == Scheme.Q8_BLOCKWISE
+    count, _ = codec._layout(scheme, n, out_block_size)
+    m_scales, v_scales = np.empty(count, np.float32), np.empty(count, np.float32)
+    dtype = np.int8 if out8 else "<f4"
+    new_m, new_v = np.empty(n, dtype), np.empty(n, dtype)
+    if not st.packed:
+        old_m, old_v = (np.frombuffer(c.payload, "<f4") for c in (st.m, st.v))
     pieces = codec._pieces(n, block_size)
     work = np.empty((4, max((b - a for a, b in pieces), default=0)), np.float32)
     for start, stop in pieces:
@@ -282,25 +292,23 @@ def _walk_state(st, out8, block_size, step, update=_copy_moments):
             codec._dequantize_into(st.v, start, stop, v_buf)
             m_old, v_old = m_buf, np.multiply(v_buf, v_buf, out=v_buf)
         else:
-            m_old, v_old = st.m.data[start:stop], st.v.data[start:stop]
-        m, v = (m_buf, v_buf) if out8 else (new_m.data[start:stop], new_v.data[start:stop])
+            m_old, v_old = old_m[start:stop], old_v[start:stop]
+        m, v = (m_buf, v_buf) if out8 else (new_m[start:stop], new_v[start:stop])
         update(start, stop, m_old, v_old, m, v, t1, t2)
         if out8:
             v_root = np.sqrt(np.maximum(v, np.float32(0.0), out=v), out=v)
-            codec._quantize_into(m, start, block_size, m_scales, m_codes, t1, t2)
-            codec._quantize_into(v_root, start, block_size, v_scales, v_codes, t1, t2)
-    if out8:
-        # valid by construction: _quantize_into checked what the constructor would
-        new_m = QuantizedChunk._valid(Scheme.Q8_BLOCKWISE, n, block_size, m_scales, m_codes)
-        new_v = QuantizedChunk._valid(Scheme.Q8_BLOCKWISE, n, block_size, v_scales, v_codes)
+            codec._quantize_into(m, start, block_size, m_scales, new_m, t1, t2)
+            codec._quantize_into(v_root, start, block_size, v_scales, new_v, t1, t2)
+    # valid by construction: _quantize_into checked what the constructor
+    # would, and an fp32 payload needs no check
+    new_m = QuantizedChunk._valid(scheme, n, out_block_size, m_scales, new_m)
+    new_v = QuantizedChunk._valid(scheme, n, out_block_size, v_scales, new_v)
     return OptimState(m=new_m, v=new_v, step=step)
 
 
 def state_nbytes(st: OptimState) -> int:
-    """Raw bytes the two moment buffers occupy in their current encoding."""
-    if st.packed:
-        return sum(len(c.payload) + 4 * c.scales.size for c in (st.m, st.v))
-    return 8 * st.num_elements
+    """Raw bytes the two moment chunks occupy: payloads and scales."""
+    return sum(len(c.payload) + 4 * c.scales.size for c in (st.m, st.v))
 
 
 def _require_state_fits(st: OptimState, w: TensorBuf):
@@ -330,8 +338,12 @@ def _partition(layers, n: int) -> list[tuple[int, int]]:
 
 def _norm(x: np.ndarray) -> float:
     """The 2-norm of an fp32 vector: what ``np.linalg.norm`` computes for
-    one, bit for bit, without its dispatch."""
-    return float(np.sqrt(x.dot(x)))
+    one, bit for bit, without its dispatch, while the sum of squares is
+    finite in fp32. Beyond that, as a LAMB direction r with beta2 = 0 gets
+    after a zero gradient, the sum is taken again in float64."""
+    # vdot sums as dot does, bit for bit, but gives Inf without a warning
+    sq = np.vdot(x, x)
+    return float(np.sqrt(sq)) if sq < np.inf else float(np.linalg.norm(x.astype(np.float64)))
 
 
 def optimizer_step(
@@ -413,7 +425,7 @@ def optimizer_step(
             np.multiply(lr32 * np.float32(ratio), r[a:b], out=r[a:b])
             np.subtract(w[a:b], r[a:b], out=r[a:b])
 
-    new_st = _walk_state(st, cfg.state_bits == 8, bs, step, update)
+    new_st = _walk_state(st, cfg.state_bits, bs, step, update)
     return TensorBuf(r), new_st
 
 
@@ -452,12 +464,33 @@ CKPT_VERSION = 3
 _CKPT_HEAD = struct.Struct("<4sHBBQ6dI")
 
 
-def _raw_chunk(t: TensorBuf) -> QuantizedChunk:
-    """An F32_RAW chunk of ``t`` that views its data instead of copying it,
-    for writing it out at once; NaN and Inf are refused."""
-    t.require_finite()
-    data = memoryview(t.data.astype("<f4", copy=False)).toreadonly()
-    return QuantizedChunk(Scheme.F32_RAW, t.num_elements, 0, np.zeros(0, np.float32), data)
+def _require_reachable(cfg: OptimConfig, st: OptimState, w: np.ndarray, error):
+    """Raise ``error`` unless the weights ``w`` and the state are what a
+    run of ``cfg`` can reach: the one rule that ``checkpoint_parts``
+    applies with ``NonFiniteInput`` and ``checkpoint_from_bytes`` with
+    ``MalformedChunk``, so that saving refuses what loading refuses.
+
+    The weights are finite. Since every gradient has |g| < 2**63
+    (``optimizer_step``), m and v after ``step`` steps are weighted means
+    of past g and g**2 scaled by c1 = 1 - beta1**step and c2 = 1 -
+    beta2**step, so |m| <= c1 * 2**63 and 0 <= v <= c2 * 2**126. Beyond
+    twice that, which leaves room for rounding, the next step's division
+    by c1 or c2 could overflow, and a negative v has no square root; NaN
+    and Inf are beyond it too. The c are computed in fp32 as the step
+    computes them. 8-bit state decodes at most 127 times its largest
+    scale, and v is that squared.
+    """
+    one, step = np.float32(1.0), np.float32(st.step)
+    c1, c2 = (float(one - np.float32(b) ** step) for b in (cfg.beta1, cfg.beta2))
+    if st.packed:  # the largest |m| and v each block decodes to
+        m, v = np.float32(127) * st.m.scales, np.square(np.float32(127) * st.v.scales, dtype=float)
+    else:
+        m, v = (np.frombuffer(c.payload, "<f4") for c in (st.m, st.v))
+    # each comparison is written so that NaN fails it
+    if not (codec._absmax(w) < math.inf and codec._absmax(m) <= c1 * 2.0**64
+            and 0.0 <= v.min(initial=0) and v.max(initial=0) <= c2 * 2.0**127):
+        raise error(f"checkpoint weights or moments hold NaN or Inf, or moments no run "
+                    f"reaches in {st.step} steps")
 
 
 def _write_chunk(parts: list, chunk: QuantizedChunk):
@@ -482,25 +515,31 @@ def _read_chunk(view: memoryview, off: int, end: int, own: bool = False):
 def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
     """The checkpoint of ``cfg``, ``st`` and ``w`` as a list of byte parts.
 
-    The parts are the header, each chunk's length prefix, its header with
-    the scales and its payload, and last the CRC-32 of all the parts before
-    it; ``b"".join`` of them is the file ``save_checkpoint`` writes. The
-    payload parts view the chunks' payloads and the weights' own array:
-    nothing is joined or copied. The learning-rate schedule and the layer
-    partition are not stored: the caller owns them and passes them to every
-    step, before and after a resume. State with another element count than
-    ``w`` raises ``ShapeMismatch``.
+    The state is written in the config's encoding, converted if it comes in
+    the other one. The parts are the header, each chunk's length prefix,
+    its header with the scales and its payload, and last the CRC-32 of all
+    the parts before it; ``b"".join`` of them is the file
+    ``save_checkpoint`` writes. The payload parts view the moment chunks'
+    payloads and the weights' own array: nothing is joined or copied. The
+    learning-rate schedule and the layer partition are not stored: the
+    caller owns them and passes them to every step, before and after a
+    resume. State with another element count than ``w`` raises
+    ``ShapeMismatch``; NaN or Inf in the weights or fp32 moments, or
+    moments no run reaches (``_require_reachable``), raise
+    ``NonFiniteInput``.
     """
     _require_state_fits(st, w)
-    packed = pack_state(st, cfg.block_size) if cfg.state_bits == 8 else unpack_state(st)
+    st = pack_state(st, cfg.block_size) if cfg.state_bits == 8 else unpack_state(st)
+    _require_reachable(cfg, st, w.data, NonFiniteInput)
     head = _CKPT_HEAD.pack(
-        CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, packed.step,
+        CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, st.step,
         cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
         cfg.trust_clip[0], cfg.trust_clip[1], cfg.block_size,
     )
-    moments = (packed.m, packed.v) if packed.packed else map(_raw_chunk, (packed.m, packed.v))
     parts = [head]
-    for c in (_raw_chunk(w), *moments):
+    # the weights' chunk views their array: it is written out at once
+    raw = memoryview(w.data.astype("<f4", copy=False)).toreadonly()
+    for c in (QuantizedChunk(Scheme.F32_RAW, w.num_elements, 0, (), raw), st.m, st.v):
         _write_chunk(parts, c)
     crc = 0
     for part in parts:
@@ -514,13 +553,14 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
     ``buf`` is any buffer that holds the whole checkpoint, as
     ``load_checkpoint`` reads it from a file or as ``checkpoint_parts``
     joined. Another version raises ``MalformedChunk``, and bytes that do not
-    match the CRC-32 raise ``ChecksumMismatch``. NaN or Inf in the weights
-    or in fp32 moments, which ``save_checkpoint`` refuses, 8-bit v that
-    would square to Inf, and any other inconsistency raise
-    ``MalformedChunk``. Every chunk is read as a view of ``buf``: the
-    weights and fp32 moments are decoded from it into new arrays, and the
-    8-bit moments, which the state keeps, copy their own bytes once.
-    Nothing returned holds on to ``buf``.
+    match the CRC-32 raise ``ChecksumMismatch``. Moment chunks in another
+    scheme or block size than the header's encoding, NaN or Inf in the
+    weights or in fp32 moments, moments no run reaches
+    (``_require_reachable``; ``save_checkpoint`` refuses both), and any
+    other inconsistency raise ``MalformedChunk``. Every chunk is read as a
+    view of ``buf``: the weights are decoded from it into a new array, and
+    the moment chunks, which the state keeps as they are, copy their own
+    bytes once. Nothing returned holds on to ``buf``.
     """
     view = codec._buffer(buf).toreadonly()
     if view[:4] != CKPT_MAGIC:
@@ -535,19 +575,12 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
         raise ChecksumMismatch("checkpoint bytes do not match their CRC-32")
     _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, block_size = _CKPT_HEAD.unpack_from(view)
     w_chunk, off = _read_chunk(view, _CKPT_HEAD.size, end)
-    m_chunk, off = _read_chunk(view, off, end, own=bits == 8)
-    v_chunk, off = _read_chunk(view, off, end, own=bits == 8)
+    m_chunk, off = _read_chunk(view, off, end, own=True)
+    v_chunk, off = _read_chunk(view, off, end, own=True)
     if off != end:
         raise MalformedChunk(f"{end - off} bytes after the last chunk")
     if w_chunk.scheme != Scheme.F32_RAW:
         raise MalformedChunk(f"weights chunk {w_chunk.scheme.name}; want F32_RAW")
-    n, want = w_chunk.num_elements, Scheme.Q8_BLOCKWISE if bits == 8 else Scheme.F32_RAW
-    for c in (m_chunk, v_chunk):
-        if c.num_elements != n or c.scheme != want or (bits == 8 and c.block_size != block_size):
-            raise MalformedChunk(
-                f"state chunk {c.scheme.name} of {c.num_elements} elements in blocks of "
-                f"{c.block_size}; want {want.name} of {n} in blocks of {block_size}"
-            )
     try:
         cfg = OptimConfig(
             algorithm=algo, beta1=b1, beta2=b2, epsilon=eps,
@@ -556,19 +589,16 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
         )
     except ConfigError as e:
         raise MalformedChunk(f"checkpoint header: {e}") from None
-    if bits == 32:
-        m_chunk, v_chunk = codec.decode(m_chunk), codec.decode(v_chunk)
-    w = codec.decode(w_chunk)
-    # What save_checkpoint refuses; NaN fails the comparison too. 8-bit m
-    # decodes finite. 8-bit v holds sqrt(v), which the step decodes and
-    # squares, finite only below 2**64; the largest magnitude it decodes to
-    # is 127 times its largest scale.
-    for t in (w, m_chunk, v_chunk) if bits == 32 else (w,):
-        if not codec._absmax(t.data) < math.inf:
-            raise MalformedChunk("checkpoint weights or moments hold NaN or Inf")
-    if bits == 8 and not np.float32(127) * v_chunk.scales.max(initial=0) < 2.0**64:
-        raise MalformedChunk("checkpoint 8-bit v holds a sqrt(v) of 2**64 or more")
-    return cfg, OptimState(m=m_chunk, v=v_chunk, step=step), w
+    n, (scheme, size) = w_chunk.num_elements, _state_encoding(bits, block_size)
+    for c in (m_chunk, v_chunk):
+        if (c.num_elements, c.scheme, c.block_size) != (n, scheme, size):
+            raise MalformedChunk(
+                f"state chunk {c.scheme.name} of {c.num_elements} elements in blocks of "
+                f"{c.block_size}; want {scheme.name} of {n} in blocks of {size}"
+            )
+    st, w = OptimState(m=m_chunk, v=v_chunk, step=step), codec.decode(w_chunk)
+    _require_reachable(cfg, st, w.data, MalformedChunk)
+    return cfg, st, w
 
 
 def save_checkpoint(path, cfg: OptimConfig, st: OptimState, w: TensorBuf):

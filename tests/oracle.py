@@ -11,8 +11,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from swarmdesk.codec import QuantizedChunk, Scheme, TensorBuf
+from swarmdesk.codec import CodecPolicy, QuantizedChunk, Scheme, TensorBuf, encode
 from swarmdesk.optim import OptimState, trust_ratio
+
+
+def _chunk(x: np.ndarray) -> QuantizedChunk:
+    """An fp32 moment as the state holds it: an F32_RAW chunk."""
+    return encode(TensorBuf(x), CodecPolicy(lossless=True))
+
+
+def _array(c: QuantizedChunk) -> np.ndarray:
+    """The values of an fp32 moment's F32_RAW chunk."""
+    return np.frombuffer(c.payload, np.float32)
 
 
 def _blocked(data: np.ndarray, block_size: int) -> np.ndarray:
@@ -49,9 +59,9 @@ def pack_state(st: OptimState, state_bits: int, block_size: int) -> OptimState:
         return unpack_state(st)
     if st.packed:
         return st
-    v_root = TensorBuf(np.sqrt(np.maximum(st.v.data, np.float32(0.0))))
+    v_root = TensorBuf(np.sqrt(np.maximum(_array(st.v), np.float32(0.0))))
     return replace(
-        st, m=quantize_q8(st.m, block_size), v=quantize_q8(v_root, block_size)
+        st, m=quantize_q8(TensorBuf(_array(st.m)), block_size), v=quantize_q8(v_root, block_size)
     )
 
 
@@ -59,14 +69,14 @@ def unpack_state(st: OptimState) -> OptimState:
     if not st.packed:
         return st
     v_root = dequantize_q8(st.v).data
-    return replace(st, m=dequantize_q8(st.m), v=TensorBuf(v_root * v_root))
+    return replace(st, m=_chunk(dequantize_q8(st.m).data), v=_chunk(v_root * v_root))
 
 
 def _moments(g, st, cfg):
     b1, b2 = np.float32(cfg.beta1), np.float32(cfg.beta2)
     one = np.float32(1.0)
-    m = b1 * st.m.data + (one - b1) * g
-    v = b2 * st.v.data + (one - b2) * (g * g)
+    m = b1 * _array(st.m) + (one - b1) * g
+    v = b2 * _array(st.v) + (one - b2) * (g * g)
     step = st.step + 1
     mhat = m / (one - b1 ** np.float32(step)) if cfg.beta1 > 0 else m
     vhat = v / (one - b2 ** np.float32(step)) if cfg.beta2 > 0 else v
@@ -89,5 +99,5 @@ def lamb_step(w, g, st, cfg, lr, layers=None):
             float(np.linalg.norm(wl)), float(np.linalg.norm(rl)), cfg.trust_clip
         )
         new_w[start:stop] = wl - lr32 * np.float32(ratio) * rl
-    out = replace(work, m=TensorBuf(m), v=TensorBuf(v), step=step)
+    out = replace(work, m=_chunk(m), v=_chunk(v), step=step)
     return TensorBuf(new_w), pack_state(out, cfg.state_bits, cfg.block_size)

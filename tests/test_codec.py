@@ -1,6 +1,7 @@
 """Tensor codec: scheme selection, Q8 blockwise quantization, binary16, wire layout."""
 
 import math
+import re
 import struct
 import tracemalloc
 from unittest import mock
@@ -156,6 +157,30 @@ class TestQuantizeQ8:
         bound = codec.roundtrip_error_bound(c)
         assert np.all(err <= bound)
 
+    @pytest.mark.parametrize("n, block_size", [(0, 4), (3, 4), (8, 4), (9, 4), (10, 1), (5000, 64)])
+    def test_error_bound_is_each_block_s_bound_per_element(self, n, block_size):
+        """Each element gets its block's bound, bit for bit, the last block's
+        elements too."""
+        x = np.random.default_rng(n).standard_normal(n).astype(np.float32)
+        c = codec.quantize_q8(TensorBuf(x), block_size)
+        per_block = c.scales.astype(np.float64) * codec._ERR_PER_SCALE + codec._ERR_UNDERFLOW
+        want = np.array([per_block[i // block_size] for i in range(n)], np.float64)
+        assert codec.roundtrip_error_bound(c).tobytes() == want.tobytes()
+
+    def test_error_bound_allocates_per_element_not_per_block(self):
+        """Three elements in a block of 2**20: repeating the block's bound
+        block_size times and cutting it took 8 MiB."""
+        c = codec.quantize_q8(TensorBuf([1.0, -2.0, 0.5]), 1 << 20)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bound = codec.roundtrip_error_bound(c)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert bound.size == 3
+        assert peak < 4096
+
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(7)
         x = (rng.standard_normal(37) * 10).astype(np.float32)
@@ -204,7 +229,8 @@ class TestQuantizeQ8:
 
     @pytest.mark.parametrize("block_size", [0, 2.5, None, True])
     def test_rejects_malformed_block_size(self, block_size):
-        with pytest.raises(MalformedChunk):
+        """The refusal names the value given, not what it became."""
+        with pytest.raises(MalformedChunk, match=rf"got {re.escape(repr(block_size))}$"):
             codec.quantize_q8(TensorBuf([1.0]), block_size)
 
     @pytest.mark.parametrize("top", [3.4028235e38, -3.4028235e38])

@@ -76,7 +76,7 @@ def _grad_at_init(task):
 
 _ZEROS = codec.TensorBuf(np.zeros(5, np.float32))
 _SCHEDULE = optim.ScheduleConfig(total_steps=10)
-_STATE = optim.OptimState(m=_ZEROS, v=_ZEROS)
+_STATE = optim.init_state(5, optim.OptimConfig())
 _Q8_CONFIG = optim.OptimConfig(state_bits=8, block_size=4)
 
 # name: (call, {keyword: valid values}); a call with each keyword's first
@@ -95,7 +95,7 @@ _SETTINGS = {
         "q8_threshold": [1, 65536], "block_size": [1, 4096], "lossless": [False, True],
     }),
     "OptimState.step": (
-        lambda step: optim.OptimState(m=_ZEROS, v=_ZEROS, step=step), {"step": [0, 2**64 - 1]}
+        lambda step: optim.OptimState(m=_STATE.m, v=_STATE.v, step=step), {"step": [0, 2**64 - 1]}
     ),
     "lr_at": (lambda step: optim.lr_at(step, _SCHEDULE), {"step": [0, 5, 10]}),
     "init_state": (lambda num_params: optim.init_state(num_params, _Q8_CONFIG),

@@ -3,6 +3,7 @@
 
 import math
 import os
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -183,7 +184,7 @@ class TestAdam:
         new_w, new_st = adam_step(w, TensorBuf([sign * below, 1.0, 1.0, 1.0]), st, cfg, 0.1)
         new_w, new_st = adam_step(new_w, TensorBuf(np.ones(4, np.float32)), new_st, cfg, 0.1)
         new_st = unpack_state(new_st)
-        for buf in (new_w, new_st.m, new_st.v):
+        for buf in (new_w, codec.decode(new_st.m), codec.decode(new_st.v)):
             assert np.isfinite(buf.data).all()
 
     @pytest.mark.parametrize("state_n", [3, 7], ids=["shorter", "longer"])
@@ -253,6 +254,17 @@ class TestLamb:
         step_small = 0.01 - out.data[2]
         assert step_big > step_small * 10
 
+    @pytest.mark.parametrize("bits", [32, 8])
+    def test_direction_beyond_fp32_norm_range_steps(self, bits):
+        """With beta2 = 0, a zero gradient after a large one leaves v at 0
+        and m large, so r = mhat / eps passes 2**64, and the sum of squares
+        of its norm overflows fp32. The norm is taken in float64: the step
+        moves w by lr * ||w|| against r, with no overflow warning."""
+        cfg = OptimConfig.lamb(beta2=0.0, state_bits=bits)
+        w, st = lamb_step(TensorBuf([1.0]), TensorBuf([4e11]), init_state(1, cfg), cfg, 0.01)
+        w2, _ = lamb_step(w, TensorBuf([0.0]), st, cfg, 0.01)
+        assert w2.data[0] == pytest.approx(0.99 * w.data[0], rel=1e-6)
+
     def test_monotone_loss_on_quadratic(self):
         rng = np.random.default_rng(23)
         w_star = rng.standard_normal(16).astype(np.float32)
@@ -292,8 +304,8 @@ class TestPackedState:
         assert st.packed
         assert np.all(st.m.scales == 0.0)
         un = unpack_state(st)
-        np.testing.assert_array_equal(un.m.data, np.zeros(100))
-        np.testing.assert_array_equal(un.v.data, np.zeros(100))
+        np.testing.assert_array_equal(codec.decode(un.m).data, np.zeros(100))
+        np.testing.assert_array_equal(codec.decode(un.v).data, np.zeros(100))
 
     @pytest.mark.parametrize("n, block_size", [(0, 8), (1, 8), (100, 16), (4096 + 5, 4096)])
     def test_zero_state_is_quantized_zeros(self, n, block_size):
@@ -305,19 +317,20 @@ class TestPackedState:
         rng = np.random.default_rng(31)
         m = rng.standard_normal(5000).astype(np.float32)
         v = (rng.standard_normal(5000).astype(np.float32)) ** 2
-        st = OptimState(m=TensorBuf(m), v=TensorBuf(v), step=3)
+        st = _fp32_state(m, v, step=3)
         packed = pack_state(st, block_size=256)
         un = unpack_state(packed)
-        assert np.all(np.abs(m - un.m.data) <= codec.roundtrip_error_bound(packed.m))
-        root_err = np.abs(np.sqrt(v) - np.sqrt(un.v.data))
+        un_m, un_v = codec.decode(un.m).data, codec.decode(un.v).data
+        assert np.all(np.abs(m - un_m) <= codec.roundtrip_error_bound(packed.m))
+        root_err = np.abs(np.sqrt(v) - np.sqrt(un_v))
         assert np.all(root_err <= codec.roundtrip_error_bound(packed.v) + 1e-7)
-        assert np.all(un.v.data >= 0.0)
+        assert np.all(un_v >= 0.0)
 
     def test_pack_unpack_idempotent_bytes(self):
         rng = np.random.default_rng(37)
         m = rng.standard_normal(2048).astype(np.float32)
         v = (rng.standard_normal(2048) ** 2).astype(np.float32)
-        st = OptimState(m=TensorBuf(m), v=TensorBuf(v))
+        st = _fp32_state(m, v)
         p1 = pack_state(st)
         p2 = pack_state(unpack_state(p1))
         assert codec.chunk_to_bytes(p1.m) == codec.chunk_to_bytes(p2.m)
@@ -326,10 +339,10 @@ class TestPackedState:
     def test_v_stays_nonnegative_through_cycles(self):
         rng = np.random.default_rng(41)
         v = np.abs(rng.standard_normal(1000)).astype(np.float32) * 1e-4
-        st = OptimState(m=TensorBuf(np.zeros(1000, np.float32)), v=TensorBuf(v))
+        st = _fp32_state(np.zeros(1000, np.float32), v)
         for _ in range(3):
             st = unpack_state(pack_state(st))
-            assert np.all(st.v.data >= 0.0)
+            assert np.all(codec.decode(st.v).data >= 0.0)
 
     def test_state_nbytes_counts_the_moment_buffers(self):
         n, bs = 100, 16
@@ -352,7 +365,7 @@ class TestPackedState:
         rng = np.random.default_rng(seed)
         m, v = (rng.standard_normal((2, n)) * 10.0 ** rng.integers(-20, 20, (2, 1))).astype(np.float32)
         m[: rng.integers(0, n + 1)] = 0.0
-        st = OptimState(m=TensorBuf(m), v=TensorBuf(v), step=int(rng.integers(0, 9)))
+        st = _fp32_state(m, v, step=int(rng.integers(0, 9)))
         with mock.patch.object(codec, "_GROUP", group):
             packed = pack_state(st, block_size)
             assert _same_state(packed, oracle.pack_state(st, 8, block_size))
@@ -362,7 +375,7 @@ class TestPackedState:
         n = 1 << 20
         rng = np.random.default_rng(71)
         m, v = rng.standard_normal((2, n)).astype(np.float32)
-        return n, OptimState(m=TensorBuf(m), v=TensorBuf(v * v), step=3)
+        return n, _fp32_state(m, v * v, step=3)
 
     def test_pack_peak_is_its_output_and_piece_buffers(self):
         n, st = self._state_1m()
@@ -376,6 +389,14 @@ class TestPackedState:
         packed = pack_state(st)
         pieces = 4 * 4 * codec._GROUP
         assert _peak(unpack_state, packed) <= 2 * 4 * n + pieces + _SLACK
+
+    @pytest.mark.parametrize("block_size", [0, 2.5, None, True, 2**32])
+    @pytest.mark.parametrize("bits", [32, 8])
+    def test_malformed_block_size_is_a_config_error_naming_it(self, bits, block_size):
+        """Whatever the state's encoding, as ``OptimConfig`` refuses it."""
+        st = init_state(5, OptimConfig(state_bits=bits, block_size=4))
+        with pytest.raises(ConfigError, match=rf"got {re.escape(repr(block_size))}$"):
+            pack_state(st, block_size)
 
     def test_8bit_lamb_tracks_fp32_on_quadratic(self):
         rng = np.random.default_rng(43)
@@ -401,9 +422,9 @@ class TestCheckpoint:
         rng = np.random.default_rng(53)
         cfg = OptimConfig.lamb(weight_decay=0.01)
         w = TensorBuf(rng.standard_normal(128).astype(np.float32))
-        st = OptimState(
-            m=TensorBuf(rng.standard_normal(128).astype(np.float32)),
-            v=TensorBuf((rng.standard_normal(128) ** 2).astype(np.float32)),
+        st = _fp32_state(
+            rng.standard_normal(128).astype(np.float32),
+            (rng.standard_normal(128) ** 2).astype(np.float32),
             step=17,
         )
         path = tmp_path / "opt.topt"
@@ -412,8 +433,7 @@ class TestCheckpoint:
         assert cfg2 == cfg
         assert st2.step == 17
         np.testing.assert_array_equal(w2.data, w.data)
-        np.testing.assert_array_equal(st2.m.data, st.m.data)
-        np.testing.assert_array_equal(st2.v.data, st.v.data)
+        assert _same_state(st2, st)
 
     def test_roundtrip_8bit_resumes_identically(self, tmp_path):
         rng = np.random.default_rng(59)
@@ -468,23 +488,32 @@ def _with_crc(body: bytes) -> bytes:
 _LOSSLESS = codec.CodecPolicy(lossless=True)
 
 
+def _unchecked_checkpoint(cfg, st, w) -> bytes:
+    """The checkpoint ``checkpoint_parts`` writes, without its refusal of
+    moments no run reaches, for the reader's own refusal to be tested."""
+    with mock.patch.object(optim, "_require_reachable"):
+        return b"".join(optim.checkpoint_parts(cfg, st, w))
+
+
 def _checkpoint_bytes(cfg, n=8):
     """The checkpoint of ``cfg``'s zero state for ``n`` weights of 1."""
     w = TensorBuf(np.ones(n, np.float32))
     return b"".join(optim.checkpoint_parts(cfg, init_state(n, cfg), w))
 
 
+def _fp32_state(m, v, step=0) -> OptimState:
+    """fp32 state of the arrays ``m`` and ``v``, as F32_RAW chunks."""
+    m, v = (codec.encode(TensorBuf(x), _LOSSLESS) for x in (m, v))
+    return OptimState(m, v, step)
+
+
 def _same_state(a: OptimState, b: OptimState) -> bool:
-    if a.step != b.step or a.packed != b.packed:
-        return False
-    if a.packed:
-        return all(
-            x.block_size == y.block_size
-            and x.scales.tobytes() == y.scales.tobytes()
-            and x.payload == y.payload
-            for x, y in ((a.m, b.m), (a.v, b.v))
-        )
-    return a.m.data.tobytes() == b.m.data.tobytes() and a.v.data.tobytes() == b.v.data.tobytes()
+    return a.step == b.step and all(
+        (x.scheme, x.block_size) == (y.scheme, y.block_size)
+        and x.scales.tobytes() == y.scales.tobytes()
+        and x.payload == y.payload
+        for x, y in ((a.m, b.m), (a.v, b.v))
+    )
 
 
 def _unit_clip(cfg):
@@ -567,9 +596,9 @@ class TestGroupedStep:
         cfg = getattr(OptimConfig, algo)(state_bits=bits, weight_decay=0.01)
         w = TensorBuf(rng.standard_normal(n).astype(np.float32))
         g = TensorBuf(rng.standard_normal(n).astype(np.float32))
-        st = OptimState(
-            m=TensorBuf(rng.standard_normal(n).astype(np.float32)),
-            v=TensorBuf((rng.standard_normal(n) ** 2).astype(np.float32)),
+        st = _fp32_state(
+            rng.standard_normal(n).astype(np.float32),
+            (rng.standard_normal(n) ** 2).astype(np.float32),
             step=3,
         )
         st = pack_state(st, cfg.block_size) if state_bits == 8 else unpack_state(st)
@@ -577,10 +606,7 @@ class TestGroupedStep:
         def snapshot():
             parts = [w.data.tobytes(), g.data.tobytes()]
             for buf in (st.m, st.v):
-                if st.packed:
-                    parts += [buf.scales.tobytes(), bytes(buf.payload)]
-                else:
-                    parts.append(buf.data.tobytes())
+                parts += [buf.scales.tobytes(), bytes(buf.payload)]
             return parts
 
         before = snapshot()
@@ -643,6 +669,17 @@ class TestGroupedStep:
         with pytest.raises(ConfigError):
             pack_state(st, block_size=64)
         assert pack_state(st, block_size=32) is st
+
+    def test_fp32_lamb_peak_is_r_and_the_new_state(self):
+        """Per parameter: r, which becomes the new weights, and the new m and
+        v (12 bytes), and the four piece buffers: the old fp32 moments are
+        read where they are, and the new ones become chunks without a copy."""
+        n = 1 << 20
+        rng = np.random.default_rng(61)
+        w, g = (TensorBuf(x) for x in rng.standard_normal((2, n)).astype(np.float32))
+        cfg = OptimConfig.lamb()
+        _, st = lamb_step(w, g, init_state(n, cfg), cfg, 0.01)
+        assert _peak(lamb_step, w, g, st, cfg, 0.01) <= 12 * n + 4 * 4 * codec._GROUP + _SLACK
 
 
 @pytest.mark.parametrize("algo", ["adam", "lamb"])
@@ -712,20 +749,22 @@ class TestCheckpointFormat:
         assert w.data.tobytes() == w2.data.tobytes()
         assert _same_state(st, st2)
 
+    @pytest.mark.parametrize("bits", [32, 8])
     @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
-    def test_loaded_state_holds_only_its_own_bytes(self, kind):
-        """A loaded 8-bit moment does not keep the rest of the checkpoint
-        alive, whatever buffer the checkpoint comes in."""
-        cfg = OptimConfig.lamb(state_bits=8, block_size=64)
+    def test_loaded_state_holds_only_its_own_bytes(self, kind, bits):
+        """A loaded moment does not keep the rest of the checkpoint alive,
+        whatever buffer the checkpoint comes in."""
+        cfg = OptimConfig.lamb(state_bits=bits, block_size=64)
         w, st, _ = self._run(cfg, n=5000)
         raw = b"".join(optim.checkpoint_parts(cfg, st, w))
         _, st2, _ = optim.checkpoint_from_bytes(kind(raw))
-        own = codec.encoded_size(codec.Scheme.Q8_BLOCKWISE, 5000, 64)
+        own = codec.encoded_size(st2.m.scheme, 5000, 64)
         for c in (st2.m, st2.v):
             owner = c.payload.obj if isinstance(c.payload, memoryview) else c.payload
-            assert memoryview(owner).nbytes <= own < len(raw) / 4
-            # the scales are in the same bytes, not a second copy
-            assert np.shares_memory(c.scales, np.frombuffer(owner, np.uint8))
+            # fp32 moments are a third of the checkpoint, 8-bit ones less
+            assert memoryview(owner).nbytes <= own < len(raw) / (4 if bits == 8 else 2)
+            # the scales, if any, are in the same bytes, not a second copy
+            assert not c.scales.size or np.shares_memory(c.scales, np.frombuffer(owner, np.uint8))
 
     @pytest.mark.parametrize(
         "buf",
@@ -758,12 +797,12 @@ class TestCheckpointFormat:
         assert _same_state(st2, st3) and _same_state(st2, st)
 
     def test_fp32_load_peak_is_its_output(self):
-        """Reading an fp32-state checkpoint allocates its three fp32 outputs
-        and no copy of a chunk."""
+        """Reading an fp32-state checkpoint allocates its fp32 weights and
+        one copy of each moment chunk, which the state keeps."""
         n, cfg = 1 << 20, OptimConfig.lamb()
         rng = np.random.default_rng(73)
         w, m, v = rng.standard_normal((3, n)).astype(np.float32)
-        st = OptimState(m=TensorBuf(m), v=TensorBuf(v * v), step=3)
+        st = _fp32_state(m, v * v, step=3)
         raw = b"".join(optim.checkpoint_parts(cfg, st, TensorBuf(w)))
         assert _peak(optim.checkpoint_from_bytes, raw) <= 3 * 4 * n + _SLACK
 
@@ -849,25 +888,61 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("algo", ["adam", "lamb"])
     def test_8bit_v_that_squares_to_inf_is_malformed(self, algo):
         """8-bit v stores sqrt(v); a block of code 127 whose scale makes
-        127 * scale 2**64 in fp32 would square to Inf on the next step. The
-        largest scale below it loads, and steps to finite state."""
+        127 * scale 2**64 in fp32 would square to Inf on the next step. At
+        step 1 with beta2 = 0, c2 is 1: the largest scale whose square of
+        127 * scale is at most 2**127 loads, and steps to finite state, and
+        the next scale above it is refused."""
         n, cfg = 4, getattr(OptimConfig, algo)(state_bits=8, beta2=0.0, block_size=4)
         w, m = TensorBuf(np.ones(n, np.float32)), init_state(n, cfg).m
 
         def checkpoint_with_v_scale(scale):
             v = codec.QuantizedChunk(codec.Scheme.Q8_BLOCKWISE, n, 4, [scale], bytes([127] * n))
-            return b"".join(optim.checkpoint_parts(cfg, OptimState(m, v, 1), w))
+            return _unchecked_checkpoint(cfg, OptimState(m, v, 1), w)
 
         scale = np.float32(2.0**64 / 127)
         assert np.float32(127) * scale == 2.0**64
-        with pytest.raises(MalformedChunk, match=r"2\*\*64"):
+        with pytest.raises(MalformedChunk, match="no run reaches"):
             optim.checkpoint_from_bytes(checkpoint_with_v_scale(scale))
-        below = checkpoint_with_v_scale(np.nextafter(scale, np.float32(0.0)))
-        cfg2, st2, w2 = optim.checkpoint_from_bytes(below)
+        edge = np.float32(2.0**63.5 / 127)
+        while float(np.float32(127) * edge) ** 2 > 2.0**127:
+            edge = np.nextafter(edge, np.float32(0.0))
+        while float(np.float32(127) * np.nextafter(edge, scale)) ** 2 <= 2.0**127:
+            edge = np.nextafter(edge, scale)
+        with pytest.raises(MalformedChunk, match="no run reaches"):
+            optim.checkpoint_from_bytes(checkpoint_with_v_scale(np.nextafter(edge, scale)))
+        cfg2, st2, w2 = optim.checkpoint_from_bytes(checkpoint_with_v_scale(edge))
         w2, st2 = optim.optimizer_step(w2, w2, st2, cfg2, 0.1)
         st2 = unpack_state(st2)
-        for buf in (w2, st2.m, st2.v):
+        for buf in (w2, codec.decode(st2.m), codec.decode(st2.v)):
             assert np.isfinite(buf.data).all()
+
+    @pytest.mark.parametrize(
+        "m, v", [([0.0, 0.0], [3e38, 0.0]), ([3e38, 0.0], [0.0, 0.0]), ([0.0, 0.0], [-1.0, 0.0])],
+        ids=["v-above", "m-above", "v-negative"],
+    )
+    def test_moments_no_run_reaches_are_refused(self, m, v):
+        """At step 0 a run has only zero moments. Loaded, these moments made
+        the next step overflow dividing by c2 or c1, or take the square root
+        of a negative v. Saving refuses them, and loading too."""
+        cfg, w = OptimConfig.adam(), TensorBuf(np.ones(2, np.float32))
+        st = _fp32_state(np.float32(m), np.float32(v))
+        with pytest.raises(NonFiniteInput, match="no run reaches"):
+            optim.checkpoint_parts(cfg, st, w)
+        with pytest.raises(MalformedChunk, match="no run reaches"):
+            optim.checkpoint_from_bytes(_unchecked_checkpoint(cfg, st, w))
+
+    def test_fp32_moments_in_two_block_sizes_are_malformed(self):
+        """A CRC-valid checkpoint whose fp32 m and v are F32_RAW chunks of
+        another block size than 0 is refused as malformed, not by the
+        state's own check."""
+        n, cfg = 8, OptimConfig.adam()
+        w = TensorBuf(np.ones(n, np.float32))
+        parts = [_checkpoint_bytes(cfg, n)[: optim._CKPT_HEAD.size]]
+        m = codec.QuantizedChunk(codec.Scheme.F32_RAW, n, 4, [], bytes(4 * n))
+        for chunk in (codec.encode(w, _LOSSLESS), m, init_state(n, cfg).v):
+            optim._write_chunk(parts, chunk)
+        with pytest.raises(MalformedChunk, match="blocks of 4"):
+            optim.checkpoint_from_bytes(_with_crc(b"".join(parts)))
 
     def test_trailing_bytes_are_malformed(self, tmp_path):
         cfg = OptimConfig.adam()
@@ -889,7 +964,7 @@ class TestCheckpointFormat:
         optim._write_chunk(parts, codec.encode(w, _LOSSLESS))
         short = init_state(7, cfg)
         for buf in (short.m, short.v):
-            optim._write_chunk(parts, buf if short.packed else codec.encode(buf, _LOSSLESS))
+            optim._write_chunk(parts, buf)
         path.write_bytes(_with_crc(b"".join(parts)))
         with pytest.raises(MalformedChunk, match="of 7 elements"):
             optim.load_checkpoint(path)
@@ -1048,6 +1123,46 @@ def test_checkpoint_bytes_are_the_file(algo, bits, n, block_size, steps, seed):
     assert _same_state(st3, st2) and _same_state(st3, st)
 
 
+_BELOW_2_63 = float(np.nextafter(np.float32(2.0**63), np.float32(0.0)))
+
+
+@pytest.mark.parametrize("algo", ["adam", "lamb"])
+@pytest.mark.parametrize("bits", [32, 8])
+@settings(max_examples=25, deadline=None)
+@given(
+    n=hs.integers(1, 12),
+    steps=hs.integers(1, 6),
+    beta2=hs.sampled_from([0.0, 0.5, 0.95, 0.999]),
+    data=hs.data(),
+)
+def test_reached_state_loads_and_steps(algo, bits, n, steps, beta2, data):
+    """State that 1 to 6 steps reach, with gradients of any magnitude a step
+    takes (up to the largest fp32 below 2**63), is saved, loaded and steps
+    on to finite weights and state. Tier-1 makes warnings errors, so an
+    overflow in the step fails the test too."""
+    cfg = getattr(OptimConfig, algo)(state_bits=bits, beta2=beta2, block_size=4)
+    grad = hs.lists(hs.floats(-_BELOW_2_63, _BELOW_2_63, width=32), min_size=n, max_size=n)
+    w, st = TensorBuf(np.ones(n, np.float32)), init_state(n, cfg)
+    for _ in range(steps + 1):
+        w, st = optim.optimizer_step(w, TensorBuf(data.draw(grad)), st, cfg, 0.01)
+        cfg, st, w = optim.checkpoint_from_bytes(b"".join(optim.checkpoint_parts(cfg, st, w)))
+    st = unpack_state(st)
+    for buf in (w, codec.decode(st.m), codec.decode(st.v)):
+        assert np.isfinite(buf.data).all()
+
+
+@pytest.mark.parametrize("bits", [32, 8])
+def test_state_in_the_other_encoding_is_saved_in_the_config_s(bits):
+    """The checkpoint holds the state in the encoding its header names,
+    converted when the state comes in the other one."""
+    cfg = OptimConfig.lamb(state_bits=bits, block_size=8)
+    other = OptimConfig.lamb(state_bits={32: 8, 8: 32}[bits], block_size=8)
+    w = TensorBuf(np.linspace(-1.0, 1.0, 100, dtype=np.float32))
+    _, st = lamb_step(w, w, init_state(100, other), other, 0.01)
+    _, st2, _ = optim.checkpoint_from_bytes(b"".join(optim.checkpoint_parts(cfg, st, w)))
+    assert _same_state(st2, pack_state(st, 8) if bits == 8 else unpack_state(st))
+
+
 @pytest.mark.parametrize("bits", [32, 8])
 def test_checkpoint_parts_view_the_payloads(bits):
     """The weights' and the moments' parts view their arrays: no payload is
@@ -1056,9 +1171,8 @@ def test_checkpoint_parts_view_the_payloads(bits):
     w = TensorBuf(np.arange(1.0, 101.0, dtype=np.float32))
     _, st = lamb_step(w, w, init_state(100, cfg), cfg, 0.01)
     parts = optim.checkpoint_parts(cfg, st, w)
-    moments = (st.m.payload, st.v.payload) if st.packed else (st.m.data, st.v.data)
     assert len(parts) == 11  # header, 3 x (length, chunk header, payload), CRC-32
-    for part, source in zip(parts[3::3], (w.data, *moments)):
+    for part, source in zip(parts[3::3], (w.data, st.m.payload, st.v.payload)):
         assert np.shares_memory(np.frombuffer(part, np.uint8), np.frombuffer(source, np.uint8))
 
 
@@ -1257,8 +1371,8 @@ def _q8(n, block_size=8):
     return init_state(n, OptimConfig.lamb(state_bits=8, block_size=block_size)).m
 
 
-def _fp32(n):
-    return TensorBuf(np.zeros(n, np.float32))
+def _fp32(n, block_size=0):
+    return codec.QuantizedChunk(codec.Scheme.F32_RAW, n, block_size, [], bytes(4 * n))
 
 
 @pytest.mark.parametrize(
@@ -1270,8 +1384,12 @@ def _fp32(n):
         pytest.param(_q8(3), _fp32(3), 0, ConfigError, id="m-q8-v-fp32"),
         pytest.param(_fp32(3), _q8(3), 0, ConfigError, id="m-fp32-v-q8"),
         pytest.param(_q8(3, 4), _q8(3, 8), 0, ConfigError, id="two-block-sizes"),
-        pytest.param(codec.encode_f16(_fp32(3)), codec.encode_f16(_fp32(3)), 0, ConfigError,
-                     id="f16-chunks"),
+        pytest.param(_fp32(3), _fp32(3, 4), 0, ConfigError, id="fp32-two-block-sizes"),
+        pytest.param(_fp32(3, 4), _fp32(3, 4), 0, ConfigError, id="fp32-block-size-4"),
+        pytest.param(TensorBuf(np.zeros(3)), TensorBuf(np.zeros(3)), 0, ConfigError,
+                     id="tensorbufs"),
+        pytest.param(codec.encode_f16(TensorBuf(np.zeros(3))),
+                     codec.encode_f16(TensorBuf(np.zeros(3))), 0, ConfigError, id="f16-chunks"),
         pytest.param(_fp32(3), _fp32(3), None, ConfigError, id="step=None"),
         pytest.param(_fp32(3), _fp32(3), -5, ConfigError, id="step=-5"),
         pytest.param(_fp32(3), _fp32(3), 2.0, ConfigError, id="step=2.0"),
