@@ -168,8 +168,8 @@ class TestQuantizeQ8:
         assert codec.roundtrip_error_bound(c).tobytes() == want.tobytes()
 
     def test_error_bound_allocates_per_element_not_per_block(self):
-        """Three elements in a block of 2**20: repeating the block's bound
-        block_size times and cutting it took 8 MiB."""
+        """Three elements in a block of 2**20: the bound takes a few bytes
+        per element, not 8 bytes for each of the block's 2**20 slots."""
         c = codec.quantize_q8(TensorBuf([1.0, -2.0, 0.5]), 1 << 20)
         tracemalloc.start()
         try:

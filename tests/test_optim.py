@@ -921,9 +921,9 @@ class TestCheckpointFormat:
         ids=["v-above", "m-above", "v-negative"],
     )
     def test_moments_no_run_reaches_are_refused(self, m, v):
-        """At step 0 a run has only zero moments. Loaded, these moments made
-        the next step overflow dividing by c2 or c1, or take the square root
-        of a negative v. Saving refuses them, and loading too."""
+        """At step 0 a run has only zero moments. Loaded, these moments would
+        make the next step overflow dividing by c2 or c1, or take the square
+        root of a negative v. Saving refuses them, and loading too."""
         cfg, w = OptimConfig.adam(), TensorBuf(np.ones(2, np.float32))
         st = _fp32_state(np.float32(m), np.float32(v))
         with pytest.raises(NonFiniteInput, match="no run reaches"):
