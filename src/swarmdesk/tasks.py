@@ -7,10 +7,11 @@ gradient sums and dividing by their sample count is exactly the batch
 gradient. Task math runs in float64; the caller casts to fp32 at the
 tensor boundary. Everything is a deterministic function of (seed, config).
 
-Logistic regression walks a batch in blocks of rows of about 4 MiB of
-features, so its transient memory is one block (and, for the loss, the
-batch's margins), whatever the batch size; the other tasks are small enough
-to take a batch whole.
+Logistic regression walks a batch in blocks of rows of 512 KiB of
+features, small enough to stay in a core's L2 cache while the block is
+gathered and used, so its transient memory is one block (and, for the loss,
+the batch's margins), whatever the batch size; the other tasks are small
+enough to take a batch whole.
 """
 
 from __future__ import annotations
@@ -50,16 +51,32 @@ class Task:
         return self.batch_loss(params, np.arange(self.n_samples))
 
 
-def _check_inputs(params, indices, dim: int, mean: bool):
+def _check_inputs(params, indices, n_samples: int, dim: int, mean: bool) -> np.ndarray:
     """The input check of every task's ``batch_loss`` (``mean``) and
-    ``batch_grad_sum``: params that are not one vector of ``dim`` elements
-    raise ``ShapeMismatch``, where numpy would broadcast or slice them into
-    a wrong value. The mean loss of an empty batch is undefined and raises
+    ``batch_grad_sum``; returns the indices as one integer array. Params
+    that are not one vector of ``dim`` elements raise ``ShapeMismatch``,
+    where numpy would broadcast or slice them into a wrong value. Indices
+    that are not one integer vector (bools are no integers) of samples in
+    [0, ``n_samples``) raise ``ConfigError``, where numpy would wrap a
+    negative one, refuse a float with its own error or take bools as a mask.
+    The mean loss of an empty batch, of any dtype, is undefined and raises
     ``ConfigError``; its gradient sum is the zero vector."""
     if np.shape(params) != (dim,):
         raise ShapeMismatch(f"params must have shape ({dim},), got {np.shape(params)}")
-    if mean and len(indices) == 0:
-        raise ConfigError("batch_loss of an empty batch: a mean over no samples")
+    idx = np.asarray(indices)
+    if idx.size == 0:
+        if mean:
+            raise ConfigError("batch_loss of an empty batch: a mean over no samples")
+        return np.empty(0, np.intp)
+    if (
+        idx.ndim != 1 or idx.dtype.kind not in "iu"
+        or np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= n_samples
+    ):
+        raise ConfigError(
+            f"indices must be one integer vector of samples in [0, {n_samples}), "
+            f"got shape {idx.shape} of {idx.dtype}"
+        )
+    return idx
 
 
 def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
@@ -73,12 +90,12 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
         init = np.zeros(dim, np.float64)
 
     def batch_loss(params, indices):
-        _check_inputs(params, indices, dim, mean=True)
+        _check_inputs(params, indices, n_samples, dim, mean=True)
         d = params - w_star
         return 0.5 * float(d @ d)
 
     def batch_grad_sum(params, indices):
-        _check_inputs(params, indices, dim, mean=False)
+        indices = _check_inputs(params, indices, n_samples, dim, mean=False)
         return (params - w_star) * float(len(indices))
 
     return Task(
@@ -89,26 +106,28 @@ def make_quadratic(dim: int, seed: int, n_samples: int = 1024) -> Task:
     )
 
 
-# Bytes of features per row block of logistic regression: 256 rows at dim
-# 2048, four blocks to a 1024-row batch. Blocks of 1 MiB stay in a 2 MiB L2
-# cache and ran about 25% faster on perfbench's logreg_adam32_f16, but the
-# speed of L2-bound work drifts with the load on a shared core and not with
-# memory speed, so the benchmark's reference kernel (a row gather and two
-# matrix-vector products streamed from memory) could not scale that drift
-# out: samples_per_s spread 4.9% over 10 runs of 30 s, 2.1% with 2 MiB
-# blocks and 1.0-2.4% with these, which stream like the kernel.
-_BLOCK_BYTES = 1 << 22
+# Bytes of features per row block of logistic regression: 32 rows at dim
+# 2048, 32 blocks to a 1024-row batch. A block is gathered and both of its
+# matrix-vector products read it while it is still in L2. Smaller blocks pay
+# more numpy calls per batch; larger ones spill out of L2. Measured on
+# perfbench's logreg_adam32_f16 (2 vCPUs, Xeon with AVX-512, 2 MiB L2 per
+# core, 1 BLAS thread): step_ms_p50 in ms, median (interquartile range) of 5
+# runs of 30 s per size, each paired with a run of 4 MiB blocks:
+#   256 KiB 5.40 (0.17)   512 KiB 5.04 (0.19)   1 MiB 5.14 (0.22)
+#   2 MiB   6.18 (0.04)   4 MiB   6.73 (0.20, all 20 paired runs)
+_BLOCK_BYTES = 1 << 19
 
 
 def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
     """Binary logistic regression on linearly separable synthetic data.
 
-    A batch is walked in blocks of rows of about 4 MiB of ``x``
-    (``_BLOCK_BYTES``; at least one row). Each block's rows are gathered
-    once; one matrix-vector product gives its margins and, for the gradient,
-    a second adds the block's gradient sum into one ``dim`` vector. A block
-    is freed before the next is gathered, so the transient memory is one
-    block, and for the loss the batch's margins, whatever the batch size.
+    A batch is walked in blocks of rows of 512 KiB of ``x``
+    (``_BLOCK_BYTES``; at least one row), which stay in L2 cache while they
+    are used. Each block's rows are gathered once; one matrix-vector product
+    gives its margins and, for the gradient, a second adds the block's
+    gradient sum into one ``dim`` vector. A block is freed before the next
+    is gathered, so the transient memory is one block, and for the loss the
+    batch's margins, whatever the batch size.
     """
     n_samples = checked_int(n_samples, "n_samples", ConfigError, lo=1)
     dim = checked_int(dim, "dim", ConfigError, lo=1)
@@ -128,7 +147,7 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
         return coef @ xb
 
     def batch_loss(params, indices):
-        _check_inputs(params, indices, dim, mean=True)
+        indices = _check_inputs(params, indices, n_samples, dim, mean=True)
         z = np.empty(len(indices))
         for start in range(0, len(indices), rows):
             ib = indices[start : start + rows]
@@ -136,7 +155,7 @@ def make_logreg(n_samples: int, dim: int, seed: int) -> Task:
         return float(np.mean(np.logaddexp(0.0, -z)))
 
     def batch_grad_sum(params, indices):
-        _check_inputs(params, indices, dim, mean=False)
+        indices = _check_inputs(params, indices, n_samples, dim, mean=False)
         out = np.zeros(dim)
         for start in range(0, len(indices), rows):
             out += block_grad_sum(params, indices[start : start + rows])
@@ -182,13 +201,13 @@ def make_tiny_mlp(seed: int, n_samples: int = 128) -> Task:
         return (a @ weights["w2"].T + weights["b2"])[:, 0], a
 
     def batch_loss(params, indices):
-        _check_inputs(params, indices, dim, mean=True)
+        indices = _check_inputs(params, indices, n_samples, dim, mean=True)
         pred, _ = forward(unpack(params), x[indices])
         r = pred - y[indices]
         return 0.5 * float(np.mean(r * r))
 
     def batch_grad_sum(params, indices):
-        _check_inputs(params, indices, dim, mean=False)
+        indices = _check_inputs(params, indices, n_samples, dim, mean=False)
         weights = unpack(params)
         xi = x[indices]
         pred, a = forward(weights, xi)

@@ -5,12 +5,16 @@ import hashlib
 import struct
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from swarmdesk import tasks
-from swarmdesk.errors import ConfigError, ShapeMismatch
+from swarmdesk.errors import ConfigError, ShapeMismatch, SwarmError
 
 
 @pytest.mark.parametrize(
@@ -127,15 +131,22 @@ def _logreg_data(n_samples, dim, seed):
     return x, y
 
 
-@pytest.mark.parametrize("block_rows", [1, 3, None, 10**6], ids=["1", "3", "default", "batch+"])
-def test_logreg_row_blocks_match_the_unblocked_formula(monkeypatch, block_rows):
+@pytest.mark.parametrize(
+    "block_bytes",
+    [8 * 4096, 3 * 8 * 4096, None, 1 << 18, 1 << 19, 1 << 20, 1 << 22, 10**6 * 8 * 4096],
+    ids=["1", "3", "default", "256KiB", "512KiB", "1MiB", "4MiB", "batch+"],
+)
+def test_logreg_row_blocks_match_the_unblocked_formula(monkeypatch, block_bytes):
     """Whatever the block size, the blocked loss and gradient sum are the
     whole-batch float64 formulas up to rounding. The batch is unsorted,
-    repeats indices and is no multiple of 3 rows; at dim 4096 the default
-    block is 128 rows, so the 300-row batch takes three blocks."""
+    repeats indices and is no multiple of 3 rows. The cases are 1 and 3
+    rows, the default, each size measured for the default (256 KiB to
+    4 MiB: 8 to 128 rows at dim 4096) and one block larger than the batch;
+    the default, 512 KiB, is 16 rows, so the 300-row batch takes 18 full
+    blocks and a partial one."""
     n, dim, seed = 200, 4096, 1
-    if block_rows is not None:
-        monkeypatch.setattr(tasks, "_BLOCK_BYTES", 8 * dim * block_rows)
+    if block_bytes is not None:
+        monkeypatch.setattr(tasks, "_BLOCK_BYTES", block_bytes)
     task = tasks.make_logreg(n, dim, seed)
     x, y = _logreg_data(n, dim, seed)
     rng = np.random.default_rng(5)
@@ -156,9 +167,9 @@ def test_logreg_row_blocks_match_the_unblocked_formula(monkeypatch, block_rows):
 
 def test_logreg_memory_is_one_row_block_whatever_the_batch():
     """On a 4096 x 512 task (16 MiB of features) the gradient sum of the
-    whole batch holds one 4 MiB block of rows and the output at a time,
-    not the gathered batch; the full loss holds one block and the
-    batch's margins."""
+    whole batch holds one block of rows (``_BLOCK_BYTES``, 512 KiB) and the
+    output at a time, not the gathered batch; the full loss holds one block
+    and the batch's margins."""
     n, dim = 4096, 512
     task = tasks.make_logreg(n, dim, 0)
     params = np.linspace(-0.1, 0.1, dim)
@@ -180,11 +191,11 @@ def test_logreg_memory_is_one_row_block_whatever_the_batch():
 
 @pytest.mark.parametrize("make", TASKS)
 def test_empty_batch(make):
-    """An empty batch sums to a zero gradient; its mean loss is undefined
-    and refused with ConfigError by every task."""
+    """An empty batch, of any dtype, sums to a zero gradient; its mean loss
+    is undefined and refused with ConfigError by every task."""
     task = make(0)
     params = np.ones(task.param_dim)
-    for empty in ([], np.array([], np.int64)):
+    for empty in ([], np.array([], np.int64), np.array([], np.float32), np.array([], bool)):
         grad = task.batch_grad_sum(params, empty)
         assert grad.shape == (task.param_dim,) and not grad.any()
         with pytest.raises(ConfigError, match="empty batch"):
@@ -203,3 +214,64 @@ def test_params_of_another_shape_are_refused(make):
         for f in (task.batch_loss, task.batch_grad_sum):
             with pytest.raises(ShapeMismatch, match=rf"\({dim},\)"):
                 f(params, idx)
+
+
+# One task of each kind with 10 samples, for the index rule.
+SMALL = [tasks.make_quadratic(5, 0, n_samples=10), tasks.make_logreg(10, 3, 0),
+         tasks.make_tiny_mlp(0, n_samples=10)]
+_DTYPES = ["int8", "int16", "int32", "int64", "uint8", "uint16", "uint64", "float32", "float64",
+           "bool"]
+
+
+@st.composite
+def _index_arrays(draw):
+    """An array of 0 to 2 dimensions, of one of ``_DTYPES``, with values
+    near [0, 10); as it is or as a (nested) list."""
+    dtype = np.dtype(draw(st.sampled_from(_DTYPES)))
+    if dtype.kind == "b":
+        elements = st.booleans()
+    elif dtype.kind == "f":
+        elements = st.floats(-3, 13, width=8 * dtype.itemsize)
+    else:
+        elements = st.integers(max(-3, np.iinfo(dtype).min), 13)
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+    array = draw(hnp.arrays(dtype, shape, elements=elements))
+    return array.tolist() if draw(st.booleans()) else array
+
+
+@settings(max_examples=300, deadline=None)
+@given(which=st.sampled_from(range(len(SMALL))), indices=_index_arrays())
+@example(which=0, indices=[-1])
+@example(which=1, indices=[-1])
+@example(which=2, indices=[-1])
+@example(which=1, indices=[10])
+@example(which=2, indices=[1.5])
+@example(which=0, indices=np.array([1.0, 2.0]))
+@example(which=1, indices=np.ones(10, bool))
+@example(which=2, indices=np.array([[0, 1]]))
+@example(which=0, indices=np.int64(3))
+@example(which=1, indices=np.array([0, 9], np.uint64))
+def test_indices_are_one_integer_vector_of_samples(which, indices):
+    """Both functions of every task take one integer vector of samples in
+    [0, n_samples) and give the same bits as the unchecked formulas; an
+    empty batch of any kind gives the zero gradient and refuses its mean
+    loss; all else raises a SwarmError, where numpy would wrap a negative
+    index, take bools as a mask or fail with its own error."""
+    task = SMALL[which]
+    params = np.linspace(-1.0, 1.0, task.param_dim)
+    array = np.asarray(indices)
+    if array.size == 0:
+        grad = task.batch_grad_sum(params, indices)
+        assert grad.shape == (task.param_dim,) and not grad.any()
+        with pytest.raises(ConfigError, match="empty batch"):
+            task.batch_loss(params, indices)
+    elif array.ndim == 1 and array.dtype.kind in "iu" and all(0 <= i < 10 for i in array.tolist()):
+        functions = (task.batch_loss, task.batch_grad_sum)
+        got = [np.float64(f(params, indices)).tobytes() for f in functions]
+        with mock.patch.object(tasks, "_check_inputs", lambda params, indices, *_, **__: indices):
+            unchecked = [np.float64(f(params, indices)).tobytes() for f in functions]
+        assert got == unchecked
+    else:
+        for f in (task.batch_loss, task.batch_grad_sum):
+            with pytest.raises(SwarmError, match="integer vector"):
+                f(params, indices)
