@@ -19,9 +19,9 @@ Two working schemes plus a raw passthrough:
 * ``F16`` — IEEE binary16 with round-to-nearest-even. Values above the
   largest finite half-precision magnitude (65504) are rejected outright
   rather than saturated.
-* ``F32_RAW`` — lossless passthrough, used for checkpointed weights and
-  fp32 optimizer state, and for exact comparisons. It is encoded only by
-  ``encode`` under ``CodecPolicy(lossless=True)`` and decoded by ``decode``.
+* ``F32_RAW`` — lossless passthrough, used for fp32 optimizer state and
+  for exact comparisons. It is encoded only by ``encode`` under
+  ``CodecPolicy(lossless=True)`` and decoded by ``decode``.
 
 ``encode`` selects the scheme from a ``CodecPolicy`` and the element count
 alone; its docstring states the rule. All rounding is round-half-to-even so
@@ -214,7 +214,8 @@ class CodecPolicy:
 
     ``lossless=True`` selects F32_RAW for every tensor: an exact fp32 wire,
     the lossless anchor, over which a collaborative round is to match a
-    single-node step bit for bit.
+    single-node step bit for bit. ``lossless`` is a Python or numpy bool,
+    kept as a Python one; any other value raises ``ConfigError``.
     """
 
     q8_threshold: int = 65536
@@ -225,6 +226,11 @@ class CodecPolicy:
         # block_size: the range a chunk header holds
         for key, hi in (("q8_threshold", np.inf), ("block_size", 2**32)):
             object.__setattr__(self, key, checked_int(getattr(self, key), key, ConfigError, 1, hi))
+        # an integer is no bool, as a bool is no integer (as_int): nothing
+        # is taken by its truthiness
+        if not isinstance(self.lossless, (bool, np.bool_)):
+            raise ConfigError(f"lossless must be a bool, got {self.lossless!r}")
+        object.__setattr__(self, "lossless", bool(self.lossless))
 
 
 # Elements per run of whole blocks in _pieces, rounded to blocks. The
@@ -408,14 +414,10 @@ def encoded_size(scheme: Scheme, n: int, block_size: int = DEFAULT_BLOCK_SIZE) -
     return HEADER_BYTES + 4 * scale_count + payload_bytes
 
 
-def chunk_header(c: QuantizedChunk) -> bytes:
-    """A chunk's wire bytes before its payload: the header and the scales."""
-    head = _HEADER.pack(MAGIC, int(c.scheme), c.num_elements, c.block_size, c.scales.size)
-    return head + c.scales.astype("<f4").tobytes()
-
-
 def chunk_to_bytes(c: QuantizedChunk) -> bytes:
-    return b"".join((chunk_header(c), c.payload))
+    """A chunk's wire bytes: the header, the scales and the payload."""
+    head = _HEADER.pack(MAGIC, int(c.scheme), c.num_elements, c.block_size, c.scales.size)
+    return b"".join((head, c.scales.astype("<f4", copy=False), c.payload))
 
 
 def _buffer(raw) -> memoryview:

@@ -29,16 +29,16 @@ transient memory is r, which becomes the new weights, and the new state:
 1.5x the parameter bytes with 8-bit state and 3x with fp32 state.
 Packed state must use the config's ``block_size``.
 
-Checkpoint file (version 3, the only one read): magic "TOPT", a fixed
-config block (version, algorithm, state bits, step, betas, epsilon, weight
-decay, trust clip, block_size), the weight, m and v buffers as codec
-chunks, each length-prefixed (u32, little-endian), and a CRC-32 (u32) of
-every byte before it. ``checkpoint_parts`` and ``checkpoint_from_bytes``
-are the format over bytes; ``save_checkpoint`` writes the parts to a
-temporary file and renames it into place, and ``load_checkpoint`` reads a
-file back. The moment chunks are written and read as the state holds
-them: the reader views every chunk in the bytes it is given, decodes the
-weights, and keeps one copy of each moment chunk's own bytes. Both sides
+Checkpoint file (version 4, the only one read; little-endian): a 76-byte
+header (magic "TOPT", version, algorithm, state bits, step, betas,
+epsilon, weight decay, trust clip, block_size and the weight count n), the
+n fp32 weights, m's scales and payload, v's scales and payload, and a
+CRC-32 (u32) of every byte before it. Each moment is its codec chunk's
+wire bytes after the chunk header. The header so fixes the whole layout,
+and the reader checks the file's length against it by one rule.
+``checkpoint_parts`` and ``checkpoint_from_bytes`` are the format over
+bytes; ``save_checkpoint`` writes the parts to a temporary file and renames
+it into place, and ``load_checkpoint`` reads a file back. Both sides
 refuse, by one rule (``_require_reachable``), weights that are not finite
 and moments that no run reaches.
 The learning-rate schedule and the layer partition are not in the file:
@@ -460,8 +460,8 @@ def lamb_step(
 # --- checkpoint io ---------------------------------------------------------
 
 CKPT_MAGIC = b"TOPT"
-CKPT_VERSION = 3
-_CKPT_HEAD = struct.Struct("<4sHBBQ6dI")
+CKPT_VERSION = 4
+_CKPT_HEAD = struct.Struct("<4sHBBQ6dIQ")
 
 
 def _require_reachable(cfg: OptimConfig, st: OptimState, w: np.ndarray, error):
@@ -493,39 +493,26 @@ def _require_reachable(cfg: OptimConfig, st: OptimState, w: np.ndarray, error):
                     f"reaches in {st.step} steps")
 
 
-def _write_chunk(parts: list, chunk: QuantizedChunk):
-    """Append the chunk's length prefix, its header with the scales and its
-    payload to ``parts``, without joining them."""
-    top = codec.chunk_header(chunk)
-    parts += [struct.pack("<I", len(top) + len(chunk.payload)), top, chunk.payload]
-
-
-def _read_chunk(view: memoryview, off: int, end: int, own: bool = False):
-    """The length-prefixed chunk at ``off`` of ``view``, and where it ends;
-    it must end by ``end``. Its scales and payload view ``view`` or, with
-    ``own``, one copy of the chunk's own bytes."""
-    start = off + 4
-    stop = start + int.from_bytes(view[off:start], "little")
-    if stop > end:
-        raise MalformedChunk("checkpoint ends inside its chunk table")
-    raw = view[start:stop]
-    return codec.chunk_from_bytes(bytes(raw) if own else raw), stop
+def _f32_bytes(a: np.ndarray) -> memoryview:
+    """A read-only byte view of the fp32 vector ``a`` as little-endian fp32."""
+    return memoryview(a.astype("<f4", copy=False)).toreadonly().cast("B")
 
 
 def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
-    """The checkpoint of ``cfg``, ``st`` and ``w`` as a list of byte parts.
+    """The version 4 checkpoint of ``cfg``, ``st`` and ``w`` as a list of
+    seven byte parts.
 
     The state is written in the config's encoding, converted if it comes in
-    the other one. The parts are the header, each chunk's length prefix,
-    its header with the scales and its payload, and last the CRC-32 of all
-    the parts before it; ``b"".join`` of them is the file
-    ``save_checkpoint`` writes. The payload parts view the moment chunks'
-    payloads and the weights' own array: nothing is joined or copied. The
-    learning-rate schedule and the layer partition are not stored: the
-    caller owns them and passes them to every step, before and after a
-    resume. State with another element count than ``w`` raises
-    ``ShapeMismatch``; NaN or Inf in the weights or fp32 moments, or
-    moments no run reaches (``_require_reachable``), raise
+    the other one. The parts are the header, which ends with the weight
+    count n, the n fp32 weights, m's scales and payload, v's scales and
+    payload, and last the CRC-32 of all the parts before it; ``b"".join``
+    of them is the file ``save_checkpoint`` writes. Every part but the
+    header and the CRC views an array of ``w`` or of the moment chunks:
+    nothing is joined or copied. The learning-rate schedule and the layer
+    partition are not stored: the caller owns them and passes them to every
+    step, before and after a resume. State with another element count than
+    ``w`` raises ``ShapeMismatch``; NaN or Inf in the weights or fp32
+    moments, or moments no run reaches (``_require_reachable``), raise
     ``NonFiniteInput``.
     """
     _require_state_fits(st, w)
@@ -534,13 +521,11 @@ def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
     head = _CKPT_HEAD.pack(
         CKPT_MAGIC, CKPT_VERSION, int(cfg.algorithm), cfg.state_bits, st.step,
         cfg.beta1, cfg.beta2, cfg.epsilon, cfg.weight_decay,
-        cfg.trust_clip[0], cfg.trust_clip[1], cfg.block_size,
+        cfg.trust_clip[0], cfg.trust_clip[1], cfg.block_size, w.num_elements,
     )
-    parts = [head]
-    # the weights' chunk views their array: it is written out at once
-    raw = memoryview(w.data.astype("<f4", copy=False)).toreadonly()
-    for c in (QuantizedChunk(Scheme.F32_RAW, w.num_elements, 0, (), raw), st.m, st.v):
-        _write_chunk(parts, c)
+    parts = [head, _f32_bytes(w.data)]
+    for c in (st.m, st.v):
+        parts += [_f32_bytes(c.scales), c.payload]
     crc = 0
     for part in parts:
         crc = zlib.crc32(part, crc)
@@ -548,21 +533,24 @@ def checkpoint_parts(cfg: OptimConfig, st: OptimState, w: TensorBuf) -> list:
 
 
 def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
-    """The config, state and weights of the version 3 checkpoint in ``buf``.
+    """The config, state and weights of the version 4 checkpoint in ``buf``.
 
     ``buf`` is any buffer that holds the whole checkpoint, as
     ``load_checkpoint`` reads it from a file or as ``checkpoint_parts``
     joined. Another version raises ``MalformedChunk``, and bytes that do not
-    match the CRC-32 raise ``ChecksumMismatch``. Moment chunks in another
-    scheme or block size than the header's encoding, NaN or Inf in the
-    weights or in fp32 moments, moments no run reaches
-    (``_require_reachable``; ``save_checkpoint`` refuses both), and any
-    other inconsistency raise ``MalformedChunk``. Every chunk is read as a
-    view of ``buf``: the weights are decoded from it into a new array, and
-    the moment chunks, which the state keeps as they are, copy their own
-    bytes once. Nothing returned holds on to ``buf``.
+    match the CRC-32 raise ``ChecksumMismatch``. The header fixes the
+    layout: its n and its state's encoding give each moment's scale count
+    and payload size (``codec._layout``), so ``buf`` is the header, 4n
+    bytes of weights, m's and v's scales and payloads, and the CRC, to the
+    byte. A buffer of any other length, a header setting ``OptimConfig``
+    refuses, moment scales or codes the chunk constructor refuses, NaN or
+    Inf in the weights or in fp32 moments, and moments no run reaches
+    (``_require_reachable``; ``save_checkpoint`` refuses both) raise
+    ``MalformedChunk``. The weights are cast from ``buf`` into a new array,
+    and each moment, which the state keeps as it is, copies its own bytes
+    once. Nothing returned holds on to ``buf``.
     """
-    view = codec._buffer(buf).toreadonly()
+    view = codec._buffer(buf)
     if view[:4] != CKPT_MAGIC:
         raise MalformedChunk("not an optimizer checkpoint (bad magic)")
     version = int.from_bytes(view[4:6], "little")
@@ -573,30 +561,26 @@ def checkpoint_from_bytes(buf) -> tuple[OptimConfig, OptimState, TensorBuf]:
         raise MalformedChunk(f"checkpoint shorter than its header: {len(view)} bytes")
     if zlib.crc32(view[:end]) != int.from_bytes(view[end:], "little"):
         raise ChecksumMismatch("checkpoint bytes do not match their CRC-32")
-    _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, block_size = _CKPT_HEAD.unpack_from(view)
-    w_chunk, off = _read_chunk(view, _CKPT_HEAD.size, end)
-    m_chunk, off = _read_chunk(view, off, end, own=True)
-    v_chunk, off = _read_chunk(view, off, end, own=True)
-    if off != end:
-        raise MalformedChunk(f"{end - off} bytes after the last chunk")
-    if w_chunk.scheme != Scheme.F32_RAW:
-        raise MalformedChunk(f"weights chunk {w_chunk.scheme.name}; want F32_RAW")
+    _, _, algo, bits, step, b1, b2, eps, wd, tmin, tmax, bs, n = _CKPT_HEAD.unpack_from(view)
     try:
         cfg = OptimConfig(
             algorithm=algo, beta1=b1, beta2=b2, epsilon=eps,
-            weight_decay=wd, trust_clip=(tmin, tmax), state_bits=bits,
-            block_size=block_size,
+            weight_decay=wd, trust_clip=(tmin, tmax), state_bits=bits, block_size=bs,
         )
     except ConfigError as e:
         raise MalformedChunk(f"checkpoint header: {e}") from None
-    n, (scheme, size) = w_chunk.num_elements, _state_encoding(bits, block_size)
-    for c in (m_chunk, v_chunk):
-        if (c.num_elements, c.scheme, c.block_size) != (n, scheme, size):
-            raise MalformedChunk(
-                f"state chunk {c.scheme.name} of {c.num_elements} elements in blocks of "
-                f"{c.block_size}; want {scheme.name} of {n} in blocks of {size}"
-            )
-    st, w = OptimState(m=m_chunk, v=v_chunk, step=step), codec.decode(w_chunk)
+    scheme, bs = _state_encoding(cfg.state_bits, cfg.block_size)
+    count, size = codec._layout(scheme, n, bs)
+    start, moment = _CKPT_HEAD.size + 4 * n, 4 * count + size
+    want = start + 2 * moment + 4
+    if len(view) != want:
+        raise MalformedChunk(f"checkpoint is {len(view)} bytes; its header's layout takes {want}")
+    w = TensorBuf(np.frombuffer(view, "<f4", n, _CKPT_HEAD.size).astype(np.float32))
+    m, v = (
+        QuantizedChunk(scheme, n, bs, np.frombuffer(raw, "<f4", count), memoryview(raw)[4 * count:])
+        for raw in (bytes(view[a : a + moment]) for a in (start, start + moment))
+    )
+    st = OptimState(m=m, v=v, step=step)
     _require_reachable(cfg, st, w.data, MalformedChunk)
     return cfg, st, w
 

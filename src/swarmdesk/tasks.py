@@ -58,12 +58,16 @@ def _check_inputs(params, indices, n_samples: int, dim: int, mean: bool) -> np.n
     where numpy would broadcast or slice them into a wrong value. Indices
     that are not one integer vector (bools are no integers) of samples in
     [0, ``n_samples``) raise ``ConfigError``, where numpy would wrap a
-    negative one, refuse a float with its own error or take bools as a mask.
+    negative one, refuse a float or a ragged nesting with its own error or
+    take bools as a mask.
     The mean loss of an empty batch, of any dtype, is undefined and raises
     ``ConfigError``; its gradient sum is the zero vector."""
     if np.shape(params) != (dim,):
         raise ShapeMismatch(f"params must have shape ({dim},), got {np.shape(params)}")
-    idx = np.asarray(indices)
+    try:
+        idx = np.asarray(indices)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"indices must be one integer vector of samples: {e}") from None
     if idx.size == 0:
         if mean:
             raise ConfigError("batch_loss of an empty batch: a mean over no samples")

@@ -181,12 +181,14 @@ def _outcome(call):
         return type(e)
 
 
-# Each integer or enum keyword of _SETTINGS, and each real one; the others
-# (a pair, a flag) take neither kind of value.
+# Each integer or enum keyword of _SETTINGS, each real one and each flag;
+# the others (a pair) take none of these kinds of value.
 _INTEGRAL = [(name, key) for name, (_, valid) in _SETTINGS.items() for key, values in valid.items()
              if all(type(v) is not bool and isinstance(v, int) for v in values)]
 _REAL = [(name, key) for name, (_, valid) in _SETTINGS.items() for key, values in valid.items()
          if all(type(v) is float for v in values)]
+_FLAG = [(name, key) for name, (_, valid) in _SETTINGS.items() for key, values in valid.items()
+         if all(type(v) is bool for v in values)]
 
 
 @pytest.mark.parametrize("name, key", _INTEGRAL)
@@ -256,6 +258,23 @@ def test_real_settings_take_narrow_numpy_floats(name, key):
             if float(t(value)) != value and not math.isnan(value):
                 continue  # t rounds it to another value
             assert _accepted(lambda: call(**{**kwargs, key: t(value)})) == want, (t, value)
+
+
+@pytest.mark.parametrize("name, key", _FLAG)
+def test_flags_take_only_bools_and_name_the_setting(name, key):
+    """A flag is a Python or numpy bool, and a numpy bool acts as, and is
+    kept as, the Python bool it equals. Any other value, an integer too, is
+    refused with a message that names the keyword and no other, rather than
+    taken by its truthiness."""
+    call, valid = _SETTINGS[name]
+    kwargs = {k: values[0] for k, values in valid.items()}
+    for bad in ("no", "", math.nan, 0, 1, 2, None, np.int8(1)):
+        with pytest.raises(SwarmError) as error:
+            call(**{**kwargs, key: bad})
+        _assert_names(error, key, valid)
+    for value in valid[key]:
+        want = _outcome(lambda: call(**{**kwargs, key: value}))
+        assert _outcome(lambda: call(**{**kwargs, key: np.bool_(value)})) == want
 
 
 def _accepted(call):

@@ -495,6 +495,21 @@ def _unchecked_checkpoint(cfg, st, w) -> bytes:
         return b"".join(optim.checkpoint_parts(cfg, st, w))
 
 
+# The header's fields after magic and version, in ``checkpoint_parts``'s order.
+_HEAD_FIELDS = ("algorithm", "state_bits", "step", "beta1", "beta2", "epsilon", "weight_decay",
+                "clip_min", "clip_max", "block_size", "n")
+# What ``checkpoint_from_bytes`` says when the bytes are not the header's layout.
+_LAYOUT_RULE = "header's layout takes"
+
+
+def _with_header(raw: bytes, **fields) -> bytes:
+    """The checkpoint ``raw`` with header ``fields`` set, its CRC fixed up."""
+    magic, version, *values = optim._CKPT_HEAD.unpack_from(raw)
+    values = dict(zip(_HEAD_FIELDS, values), **fields)
+    head = optim._CKPT_HEAD.pack(magic, version, *values.values())
+    return _with_crc(head + raw[optim._CKPT_HEAD.size : -4])
+
+
 def _checkpoint_bytes(cfg, n=8):
     """The checkpoint of ``cfg``'s zero state for ``n`` weights of 1."""
     w = TensorBuf(np.ones(n, np.float32))
@@ -806,9 +821,9 @@ class TestCheckpointFormat:
         raw = b"".join(optim.checkpoint_parts(cfg, st, TensorBuf(w)))
         assert _peak(optim.checkpoint_from_bytes, raw) <= 3 * 4 * n + _SLACK
 
-    @pytest.mark.parametrize("version", [0, 1, 2, 4, 65535])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 65535])
     def test_other_versions_are_refused(self, version):
-        """Only version 3 is read; the CRC is fixed up after the version is
+        """Only version 4 is read; the CRC is fixed up after the version is
         changed, so the version check itself refuses the checkpoint."""
         cfg = OptimConfig.lamb(state_bits=8, block_size=64)
         w, st, _ = self._run(cfg)
@@ -878,12 +893,14 @@ class TestCheckpointFormat:
                 optim.load_checkpoint(path)
 
     def test_chunk_that_runs_past_the_trailer_is_malformed(self):
-        """The weights chunk's length prefix points past the CRC trailer."""
-        body = bytearray(_checkpoint_bytes(OptimConfig.adam())[:-4])
-        at = optim._CKPT_HEAD.size
-        body[at : at + 4] = struct.pack("<I", len(body))
-        with pytest.raises(MalformedChunk, match="ends inside its chunk table"):
-            optim.checkpoint_from_bytes(_with_crc(bytes(body)))
+        """A header whose weight count is more than the file's 8 lays the
+        moments out past the CRC trailer, the largest u64 too, which is
+        refused before any of it is allocated; one less leaves bytes over."""
+        for bits in (32, 8):
+            for n in (9, 2**64 - 1, 7):
+                body = _with_header(_checkpoint_bytes(OptimConfig.adam(state_bits=bits)), n=n)
+                with pytest.raises(MalformedChunk, match=_LAYOUT_RULE):
+                    optim.checkpoint_from_bytes(body)
 
     @pytest.mark.parametrize("algo", ["adam", "lamb"])
     def test_8bit_v_that_squares_to_inf_is_malformed(self, algo):
@@ -931,42 +948,26 @@ class TestCheckpointFormat:
         with pytest.raises(MalformedChunk, match="no run reaches"):
             optim.checkpoint_from_bytes(_unchecked_checkpoint(cfg, st, w))
 
-    def test_fp32_moments_in_two_block_sizes_are_malformed(self):
-        """A CRC-valid checkpoint whose fp32 m and v are F32_RAW chunks of
-        another block size than 0 is refused as malformed, not by the
-        state's own check."""
-        n, cfg = 8, OptimConfig.adam()
-        w = TensorBuf(np.ones(n, np.float32))
-        parts = [_checkpoint_bytes(cfg, n)[: optim._CKPT_HEAD.size]]
-        m = codec.QuantizedChunk(codec.Scheme.F32_RAW, n, 4, [], bytes(4 * n))
-        for chunk in (codec.encode(w, _LOSSLESS), m, init_state(n, cfg).v):
-            optim._write_chunk(parts, chunk)
-        with pytest.raises(MalformedChunk, match="blocks of 4"):
-            optim.checkpoint_from_bytes(_with_crc(b"".join(parts)))
-
     def test_trailing_bytes_are_malformed(self, tmp_path):
         cfg = OptimConfig.adam()
         w, st, _ = self._run(cfg, n=8, steps=1)
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, st, w)
         path.write_bytes(_with_crc(path.read_bytes()[:-4] + b"\0"))
-        with pytest.raises(MalformedChunk, match="after the last chunk"):
+        with pytest.raises(MalformedChunk, match=_LAYOUT_RULE):
             optim.load_checkpoint(path)
 
     @pytest.mark.parametrize("bits", [32, 8])
     def test_state_of_another_length_is_malformed(self, tmp_path, bits):
-        """Built from parts, since ``save_checkpoint`` refuses such state."""
+        """The header, with the CRC fixed up, claims one weight less than
+        the file holds: its state's layout is shorter than the moments, a
+        state ``save_checkpoint`` never writes."""
         cfg = OptimConfig.adam(state_bits=bits, block_size=4)
         w = TensorBuf(np.ones(8, np.float32))
         path = tmp_path / "c.topt"
         optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
-        parts = [path.read_bytes()[: optim._CKPT_HEAD.size]]
-        optim._write_chunk(parts, codec.encode(w, _LOSSLESS))
-        short = init_state(7, cfg)
-        for buf in (short.m, short.v):
-            optim._write_chunk(parts, buf)
-        path.write_bytes(_with_crc(b"".join(parts)))
-        with pytest.raises(MalformedChunk, match="of 7 elements"):
+        path.write_bytes(_with_header(path.read_bytes(), n=7))
+        with pytest.raises(MalformedChunk, match=_LAYOUT_RULE):
             optim.load_checkpoint(path)
 
     @pytest.mark.parametrize("bits", [32, 8])
@@ -981,27 +982,19 @@ class TestCheckpointFormat:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["c.topt"]
 
-    def test_weights_in_another_scheme_are_malformed(self):
-        """A CRC-valid checkpoint whose weights chunk is F16, not F32_RAW."""
-        w = TensorBuf(np.ones(8, np.float32))
-        parts = [_checkpoint_bytes(OptimConfig.adam())[: optim._CKPT_HEAD.size]]
-        for chunk in (codec.encode_f16(w), codec.encode(w, _LOSSLESS), codec.encode(w, _LOSSLESS)):
-            optim._write_chunk(parts, chunk)
-        with pytest.raises(MalformedChunk, match="weights chunk F16"):
-            optim.checkpoint_from_bytes(_with_crc(b"".join(parts)))
-
     def test_state_in_another_scheme_is_malformed(self, tmp_path):
-        cfg = OptimConfig.adam(state_bits=8)
+        """The header, with the CRC fixed up, names the other state bits, or
+        8-bit state in blocks that give another scale count, than the
+        moments the file holds."""
         w = TensorBuf(np.ones(8, np.float32))
         path = tmp_path / "c.topt"
-        optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
-        f16 = replace(codec.encode_f16(w), block_size=cfg.block_size)
-        parts = [path.read_bytes()[: optim._CKPT_HEAD.size]]
-        for chunk in (codec.encode(w, _LOSSLESS), f16, f16):
-            optim._write_chunk(parts, chunk)
-        path.write_bytes(_with_crc(b"".join(parts)))
-        with pytest.raises(MalformedChunk, match="state chunk F16"):
-            optim.load_checkpoint(path)
+        edits = ((8, {"state_bits": 32}), (32, {"state_bits": 8}), (8, {"block_size": 8}))
+        for bits, edit in edits:
+            cfg = OptimConfig.adam(state_bits=bits, block_size=4)
+            optim.save_checkpoint(path, cfg, init_state(8, cfg), w)
+            path.write_bytes(_with_header(path.read_bytes(), **edit))
+            with pytest.raises(MalformedChunk, match=_LAYOUT_RULE):
+                optim.load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("bits, chunk", [(32, 0), (32, 1), (32, 2), (8, 0)],
@@ -1012,10 +1005,9 @@ class TestCheckpointFormat:
         n, cfg = 8, OptimConfig.lamb(state_bits=bits, block_size=4)
         w = TensorBuf(np.ones(n, np.float32))
         body = bytearray(b"".join(optim.checkpoint_parts(cfg, init_state(n, cfg), w))[:-4])
-        # the chunks before it (prefix, header and 4n payload bytes each),
-        # its own prefix and header, and three values
-        at = optim._CKPT_HEAD.size + chunk * (4 + codec.HEADER_BYTES + 4 * n)
-        at += 4 + codec.HEADER_BYTES + 4 * 3
+        # the 4n bytes of each part before it (fp32 moments have no scales),
+        # and three values
+        at = optim._CKPT_HEAD.size + chunk * 4 * n + 4 * 3
         body[at : at + 4] = np.float32(bad).tobytes()
         with pytest.raises(MalformedChunk, match="NaN or Inf"):
             optim.checkpoint_from_bytes(_with_crc(bytes(body)))
@@ -1027,8 +1019,8 @@ class TestCheckpointFormat:
         w = TensorBuf(np.linspace(-1.0, 1.0, n, dtype=np.float32))
         _, st = lamb_step(w, w, init_state(n, cfg), cfg, 0.01)
         body = bytearray(b"".join(optim.checkpoint_parts(cfg, st, w))[:-4])
-        # the first code of m: after the weight chunk and m's scales
-        at = optim._CKPT_HEAD.size + 8 + 2 * codec.HEADER_BYTES + 4 * n + 4 * 2
+        # the first code of m: after the weights and m's two scales
+        at = optim._CKPT_HEAD.size + 4 * n + 4 * 2
         assert body[at] != 0x80
         body[at] = 0x80
         with pytest.raises(MalformedChunk, match="-128"):
@@ -1165,15 +1157,31 @@ def test_state_in_the_other_encoding_is_saved_in_the_config_s(bits):
 
 @pytest.mark.parametrize("bits", [32, 8])
 def test_checkpoint_parts_view_the_payloads(bits):
-    """The weights' and the moments' parts view their arrays: no payload is
-    copied on the way to the file."""
+    """The weights' and the moments' parts view their arrays: no scale or
+    payload is copied on the way to the file."""
     cfg = OptimConfig.lamb(state_bits=bits, block_size=8)
     w = TensorBuf(np.arange(1.0, 101.0, dtype=np.float32))
     _, st = lamb_step(w, w, init_state(100, cfg), cfg, 0.01)
     parts = optim.checkpoint_parts(cfg, st, w)
-    assert len(parts) == 11  # header, 3 x (length, chunk header, payload), CRC-32
-    for part, source in zip(parts[3::3], (w.data, st.m.payload, st.v.payload)):
-        assert np.shares_memory(np.frombuffer(part, np.uint8), np.frombuffer(source, np.uint8))
+    assert len(parts) == 7  # header, weights, m's scales and payload, v's, CRC-32
+    sources = (w.data, st.m.scales, st.m.payload, st.v.scales, st.v.payload)
+    for part, source in zip(parts[1:6], sources):
+        part, source = np.frombuffer(part, np.uint8), np.frombuffer(source, np.uint8)
+        # fp32 state has no scales: an empty part
+        assert part.size == source.size and (not source.size or np.shares_memory(part, source))
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=hs.integers(0, 300), bits=hs.sampled_from([32, 8]), block_size=hs.integers(1, 400))
+def test_checkpoint_length_is_the_header_s_layout(n, bits, block_size):
+    """The joined parts are exactly as long as the header's n, state bits
+    and block size make the layout: the header, 4n bytes of weights, two
+    moments of 4 bytes per scale and their payloads, and the CRC."""
+    raw = _checkpoint_bytes(OptimConfig.lamb(state_bits=bits, block_size=block_size), n)
+    head = dict(zip(_HEAD_FIELDS, optim._CKPT_HEAD.unpack_from(raw)[2:]))
+    assert (head["n"], head["state_bits"], head["block_size"]) == (n, bits, block_size)
+    scales, payload = ((n + block_size - 1) // block_size, n) if bits == 8 else (0, 4 * n)
+    assert len(raw) == 76 + 4 * n + 2 * (4 * scales + payload) + 4
 
 
 @pytest.fixture(scope="module")

@@ -251,6 +251,9 @@ def _index_arrays(draw):
 @example(which=2, indices=np.array([[0, 1]]))
 @example(which=0, indices=np.int64(3))
 @example(which=1, indices=np.array([0, 9], np.uint64))
+@example(which=0, indices=[[1], [2, 3]])
+@example(which=1, indices=[1, [2]])
+@example(which=2, indices=[[1], [2, 3]])
 def test_indices_are_one_integer_vector_of_samples(which, indices):
     """Both functions of every task take one integer vector of samples in
     [0, n_samples) and give the same bits as the unchecked formulas; an
@@ -259,7 +262,10 @@ def test_indices_are_one_integer_vector_of_samples(which, indices):
     index, take bools as a mask or fail with its own error."""
     task = SMALL[which]
     params = np.linspace(-1.0, 1.0, task.param_dim)
-    array = np.asarray(indices)
+    try:
+        array = np.asarray(indices)
+    except ValueError:  # a ragged nesting, which only an object array holds
+        array = np.asarray(indices, object)
     if array.size == 0:
         grad = task.batch_grad_sum(params, indices)
         assert grad.shape == (task.param_dim,) and not grad.any()
